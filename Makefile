@@ -32,10 +32,13 @@
 #   make golden      — regenerate the flight-recorder golden trace artifact
 #   make fuzz        — short fuzz pass over the dnsx/httpx wire codecs
 #   make cover       — coverage for core+detect+trace, gated on COVERAGE.md
+#   make perfbench-smoke — a 3-second repository-benchmark pass per workload
+#                      (fleet, globaldb-rw, paper-ladder); fails when any
+#                      run's correctness checks fail
 
 GO ?= go
 
-.PHONY: all build test tier1 vet lint race check bench-fleet bench-fleet-full bench-globaldb chaos soak-churn golden fuzz cover
+.PHONY: all build test tier1 vet lint race check bench-fleet bench-fleet-full bench-globaldb chaos soak-churn golden fuzz cover perfbench-smoke
 
 all: tier1
 
@@ -106,3 +109,11 @@ cover:
 	awk -v t="$$total" -v b="$$base" 'BEGIN { \
 		if (t + 0 < b + 0) { printf "FAIL: coverage %.1f%% below baseline %.1f%% (COVERAGE.md)\n", t, b; exit 1 } \
 		printf "coverage %.1f%% (baseline %.1f%%)\n", t, b }'
+
+# Short pass of the repository benchmark (perfbench/) over every workload.
+# The numbers are too short to compare; the point is the correctness checks
+# each run makes, which make the benchmark exit non-zero when they fail.
+perfbench-smoke:
+	for w in fleet globaldb-rw paper-ladder; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 3 --trace 0 || exit 1; \
+	done

@@ -198,7 +198,7 @@ func (c *Censor) handleHTTP(f netem.Flow, s *netem.Session) {
 func (c *Censor) handleTLS(f netem.Flow, s *netem.Session) {
 	client, server := s.Client(), s.Server()
 	var consumed bytes.Buffer
-	cbr := bufio.NewReader(client)
+	cbr := bufio.NewReader(client) // not pooled: spliceBuffered's copy goroutine reads from it
 	hello, err := tlsx.ReadHello(io.TeeReader(cbr, &consumed))
 	if err != nil {
 		// Not pseudo-TLS (or the client vanished): forward what we saw and

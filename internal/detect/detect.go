@@ -14,7 +14,6 @@
 package detect
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -307,7 +306,9 @@ func (d *Detector) Measure(ctx context.Context, url string, scheme Scheme) (out 
 		out.Detected = d.Clock.Since(start)
 		return out
 	}
-	resp, err := httpx.ReadResponseCtx(ctx, bufio.NewReader(stream))
+	br := httpx.GetReader(stream)
+	resp, err := httpx.ReadResponseCtx(ctx, br)
+	httpx.PutReader(br)
 	if err != nil {
 		out.Status = localdb.Blocked
 		out.Err = err
@@ -398,7 +399,9 @@ func (d *Detector) fetchRedirect(ctx context.Context, loc string) []byte {
 	if err := httpx.WriteRequest(conn, req); err != nil {
 		return nil
 	}
-	resp, err := httpx.ReadResponse(bufio.NewReader(conn))
+	br := httpx.GetReader(conn)
+	resp, err := httpx.ReadResponse(br)
+	httpx.PutReader(br)
 	if err != nil {
 		return nil
 	}

@@ -11,21 +11,34 @@ package httpx
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 )
 
 // Header holds HTTP headers with case-insensitive keys (stored canonically).
 type Header map[string][]string
 
 // CanonicalKey normalizes a header name: "content-length" → "Content-Length".
+// A key that is already canonical is returned as is, without allocating.
 func CanonicalKey(k string) string {
-	b := []byte(k)
+	upper := true
+	for i := 0; i < len(k); i++ {
+		c := k[i]
+		if upper && 'a' <= c && c <= 'z' || !upper && 'A' <= c && c <= 'Z' {
+			return string(canonicalize([]byte(k)))
+		}
+		upper = c == '-'
+	}
+	return k
+}
+
+// canonicalize rewrites a header name in place to its canonical form.
+func canonicalize(b []byte) []byte {
 	upper := true
 	for i, c := range b {
 		switch {
@@ -36,7 +49,7 @@ func CanonicalKey(k string) string {
 		}
 		upper = c == '-'
 	}
-	return string(b)
+	return b
 }
 
 // Set replaces the values for key.
@@ -178,9 +191,10 @@ const (
 )
 
 // WriteRequest serializes a request. The Host header is emitted from
-// r.Host; Content-Length is set from the body.
+// r.Host; Content-Length is set from the body. The head goes out in one
+// Write and the body in a second; w must not retain either slice (the
+// io.Writer contract), because the head's buffer is reused.
 func WriteRequest(w io.Writer, r *Request) error {
-	var b strings.Builder
 	target := r.Target
 	if target == "" {
 		target = "/"
@@ -189,24 +203,22 @@ func WriteRequest(w io.Writer, r *Request) error {
 	if proto == "" {
 		proto = "HTTP/1.1"
 	}
-	fmt.Fprintf(&b, "%s %s %s\r\n", r.Method, target, proto)
-	fmt.Fprintf(&b, "Host: %s\r\n", r.Host)
-	writeHeaders(&b, r.Header, len(r.Body), r.Method != "GET" && r.Method != "HEAD" || len(r.Body) > 0)
-	b.WriteString("\r\n")
-	if _, err := io.WriteString(w, b.String()); err != nil {
-		return err
-	}
-	if len(r.Body) > 0 {
-		if _, err := w.Write(r.Body); err != nil {
-			return err
-		}
-	}
-	return nil
+	bp := getHead()
+	b := append(*bp, r.Method...)
+	b = append(b, ' ')
+	b = append(b, target...)
+	b = append(b, ' ')
+	b = append(b, proto...)
+	b = append(b, "\r\nHost: "...)
+	b = append(b, r.Host...)
+	b = append(b, "\r\n"...)
+	b = appendHeaders(b, r.Header, len(r.Body), r.Method != "GET" && r.Method != "HEAD" || len(r.Body) > 0)
+	return writeMessage(w, bp, b, r.Body)
 }
 
-// WriteResponse serializes a response, always emitting Content-Length.
+// WriteResponse serializes a response, always emitting Content-Length. Like
+// WriteRequest it issues one head Write and one body Write.
 func WriteResponse(w io.Writer, r *Response) error {
-	var b strings.Builder
 	proto := r.Proto
 	if proto == "" {
 		proto = "HTTP/1.1"
@@ -215,125 +227,250 @@ func WriteResponse(w io.Writer, r *Response) error {
 	if status == "" {
 		status = StatusText(r.StatusCode)
 	}
-	fmt.Fprintf(&b, "%s %d %s\r\n", proto, r.StatusCode, status)
-	writeHeaders(&b, r.Header, len(r.Body), true)
-	b.WriteString("\r\n")
-	if _, err := io.WriteString(w, b.String()); err != nil {
-		return err
-	}
-	if len(r.Body) > 0 {
-		if _, err := w.Write(r.Body); err != nil {
-			return err
-		}
-	}
-	return nil
+	bp := getHead()
+	b := append(*bp, proto...)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(r.StatusCode), 10)
+	b = append(b, ' ')
+	b = append(b, status...)
+	b = append(b, "\r\n"...)
+	b = appendHeaders(b, r.Header, len(r.Body), true)
+	return writeMessage(w, bp, b, r.Body)
 }
 
-func writeHeaders(b *strings.Builder, h Header, bodyLen int, forceLen bool) {
-	keys := make([]string, 0, len(h))
+// appendHeaders appends the header lines in key order, then Content-Length
+// and the blank line that ends the head.
+func appendHeaders(b []byte, h Header, bodyLen int, forceLen bool) []byte {
+	var stack [16]string
+	keys := stack[:0]
 	for k := range h {
 		if k == "Host" || k == "Content-Length" {
 			continue
 		}
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	for _, k := range keys {
 		for _, v := range h[k] {
-			fmt.Fprintf(b, "%s: %s\r\n", k, v)
+			b = append(b, k...)
+			b = append(b, ": "...)
+			b = append(b, v...)
+			b = append(b, "\r\n"...)
 		}
 	}
 	if forceLen || bodyLen > 0 {
-		fmt.Fprintf(b, "Content-Length: %d\r\n", bodyLen)
+		b = append(b, "Content-Length: "...)
+		b = strconv.AppendInt(b, int64(bodyLen), 10)
+		b = append(b, "\r\n"...)
 	}
+	return append(b, "\r\n"...)
 }
 
-// ReadRequest parses one request from br.
+// writeMessage writes the head, returns its buffer to the pool, then writes
+// the body.
+func writeMessage(w io.Writer, bp *[]byte, head, body []byte) error {
+	_, err := w.Write(head)
+	putHead(bp, head)
+	if err != nil {
+		return err
+	}
+	if len(body) > 0 {
+		if _, err := w.Write(body); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReadRequest parses one request from br. The returned request shares no
+// memory with br.
 func ReadRequest(br *bufio.Reader) (*Request, error) {
-	line, err := readLine(br)
+	p := getParser()
+	defer putParser(p)
+	line, err := p.readLine(br)
 	if err != nil {
 		return nil, err
 	}
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) != 3 || !strings.HasPrefix(parts[2], "HTTP/") {
+	// "METHOD SP target SP proto", where proto may itself hold spaces.
+	method, rest, ok := bytes.Cut(line, space)
+	target, proto, ok2 := bytes.Cut(rest, space)
+	if !ok || !ok2 || !bytes.HasPrefix(proto, httpPrefix) {
 		return nil, fmt.Errorf("%w: request line %q", ErrMalformed, line)
 	}
-	req := &Request{Method: parts[0], Target: parts[1], Proto: parts[2], Header: Header{}}
-	if err := readHeaders(br, req.Header); err != nil {
+	methodSpan, targetSpan, protoSpan := p.keep(method), p.keep(target), p.keep(proto)
+	if err := p.readHeaders(br); err != nil {
 		return nil, err
 	}
-	req.Host = req.Header.Get("Host")
-	req.Header.Del("Host")
+	text := string(p.text)
+	req := &Request{Method: methodSpan.in(text), Target: targetSpan.in(text), Proto: protoSpan.in(text)}
+	req.Header, req.Host = p.header(text, true)
 	req.Body, err = readBody(br, req.Header)
 	return req, err
 }
 
-// ReadResponse parses one response from br.
+// ReadResponse parses one response from br. The returned response shares
+// no memory with br.
 func ReadResponse(br *bufio.Reader) (*Response, error) {
-	line, err := readLine(br)
+	p := getParser()
+	defer putParser(p)
+	line, err := p.readLine(br)
 	if err != nil {
 		return nil, err
 	}
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/") {
+	// "proto SP code [SP reason]", where the reason may hold spaces.
+	proto, rest, ok := bytes.Cut(line, space)
+	if !ok || !bytes.HasPrefix(proto, httpPrefix) {
 		return nil, fmt.Errorf("%w: status line %q", ErrMalformed, line)
 	}
-	code, err := strconv.Atoi(parts[1])
+	codeText, reason, _ := bytes.Cut(rest, space)
+	code, err := strconv.Atoi(string(codeText))
 	if err != nil || code < 100 || code > 599 {
-		return nil, fmt.Errorf("%w: status code %q", ErrMalformed, parts[1])
+		return nil, fmt.Errorf("%w: status code %q", ErrMalformed, codeText)
 	}
-	resp := &Response{Proto: parts[0], StatusCode: code, Header: Header{}}
-	if len(parts) == 3 {
-		resp.Status = parts[2]
-	}
-	if err := readHeaders(br, resp.Header); err != nil {
+	protoSpan, statusSpan := p.keep(proto), p.keep(reason)
+	if err := p.readHeaders(br); err != nil {
 		return nil, err
 	}
+	text := string(p.text)
+	resp := &Response{Proto: protoSpan.in(text), StatusCode: code, Status: statusSpan.in(text)}
+	resp.Header, _ = p.header(text, false)
 	resp.Body, err = readBody(br, resp.Header)
 	return resp, err
 }
 
-func readLine(br *bufio.Reader) (string, error) {
-	var sb strings.Builder
-	for {
-		chunk, isPrefix, err := br.ReadLine()
-		if err != nil {
-			return "", err
+var (
+	space      = []byte(" ")
+	httpPrefix = []byte("HTTP/")
+)
+
+// headParser holds one message head while it is parsed. Lines are parsed
+// in place in the bufio.Reader's buffer; what the message keeps (target,
+// reason phrase, header names and values) is copied into text unless it is
+// a token from the intern table, and text becomes a single string once the
+// head is complete. Parsers are pooled, so nothing returned may alias them.
+type headParser struct {
+	line   []byte // a line that spans several bufio.Reader chunks
+	text   []byte
+	fields []field
+}
+
+// span is a kept token: an interned string, or text[start:end].
+type span struct {
+	interned   string
+	start, end int
+}
+
+func (s span) in(text string) string {
+	if s.interned != "" {
+		return s.interned
+	}
+	return text[s.start:s.end]
+}
+
+type field struct{ key, val span }
+
+// keep records b, which is only valid until the next read, as a span.
+func (p *headParser) keep(b []byte) span {
+	if s, ok := tokens[string(b)]; ok {
+		return span{interned: s}
+	}
+	start := len(p.text)
+	p.text = append(p.text, b...)
+	return span{start: start, end: len(p.text)}
+}
+
+// keepKey is keep for a header name, which it stores canonically.
+func (p *headParser) keepKey(b []byte) span {
+	start := len(p.text)
+	p.text = append(p.text, b...)
+	key := canonicalize(p.text[start:])
+	if s, ok := tokens[string(key)]; ok {
+		p.text = p.text[:start]
+		return span{interned: s}
+	}
+	return span{start: start, end: len(p.text)}
+}
+
+// readLine returns the next line without its line end. The slice is br's
+// own buffer, valid until the next read, except for a line longer than
+// that buffer, which is gathered into p.line.
+func (p *headParser) readLine(br *bufio.Reader) ([]byte, error) {
+	chunk, isPrefix, err := br.ReadLine()
+	if err != nil {
+		return nil, err
+	}
+	if !isPrefix {
+		if len(chunk) > maxLineBytes {
+			return nil, ErrTooLarge
 		}
-		sb.Write(chunk)
-		if sb.Len() > maxLineBytes {
-			return "", ErrTooLarge
+		return chunk, nil
+	}
+	p.line = append(p.line[:0], chunk...)
+	for {
+		if len(p.line) > maxLineBytes {
+			return nil, ErrTooLarge
 		}
 		if !isPrefix {
-			return sb.String(), nil
+			return p.line, nil
 		}
+		chunk, isPrefix, err = br.ReadLine()
+		if err != nil {
+			return nil, err
+		}
+		p.line = append(p.line, chunk...)
 	}
 }
 
-func readHeaders(br *bufio.Reader, h Header) error {
+func (p *headParser) readHeaders(br *bufio.Reader) error {
 	for count := 0; ; count++ {
 		if count > maxHeaderCount {
 			return ErrTooLarge
 		}
-		line, err := readLine(br)
+		line, err := p.readLine(br)
 		if err != nil {
 			return err
 		}
-		if line == "" {
+		if len(line) == 0 {
 			return nil
 		}
-		i := strings.IndexByte(line, ':')
+		i := bytes.IndexByte(line, ':')
 		if i <= 0 {
 			return fmt.Errorf("%w: header %q", ErrMalformed, line)
 		}
-		key := strings.TrimSpace(line[:i])
-		if key == "" {
+		key := bytes.TrimSpace(line[:i])
+		if len(key) == 0 {
 			// A whitespace-only key would serialize as ": v", which no
 			// parser (ours included) reads back.
 			return fmt.Errorf("%w: header %q", ErrMalformed, line)
 		}
-		h.Add(key, strings.TrimSpace(line[i+1:]))
+		p.fields = append(p.fields, field{key: p.keepKey(key), val: p.keep(bytes.TrimSpace(line[i+1:]))})
 	}
+}
+
+// header builds the parsed header map. Each key's first value is carved
+// from one backing array with its capacity capped, so a later Add appends
+// into a fresh array instead of over a neighbour. When skipHost is set the
+// Host fields are left out and the first one's value is returned.
+func (p *headParser) header(text string, skipHost bool) (h Header, host string) {
+	h = make(Header, len(p.fields))
+	vals := make([]string, len(p.fields))
+	seenHost := false
+	for i, f := range p.fields {
+		k, v := f.key.in(text), f.val.in(text)
+		if skipHost && k == "Host" {
+			if !seenHost {
+				host, seenHost = v, true
+			}
+			continue
+		}
+		if vs, ok := h[k]; ok {
+			h[k] = append(vs, v)
+			continue
+		}
+		vals[i] = v
+		h[k] = vals[i : i+1 : i+1]
+	}
+	return h, host
 }
 
 func readBody(br *bufio.Reader, h Header) ([]byte, error) {
@@ -354,3 +491,25 @@ func readBody(br *bufio.Reader, h Header) ([]byte, error) {
 	}
 	return body, nil
 }
+
+// tokens interns the strings that recur in nearly every message the
+// simulation exchanges: methods, protocol versions, common header names
+// (canonical) and values, and the reason phrases its servers send (a 304
+// goes out as StatusText's "Status 304"). A parsed token found here costs
+// no allocation.
+var tokens = func() map[string]string {
+	m := make(map[string]string)
+	for _, s := range []string{
+		"GET", "HEAD", "POST", "HTTP/1.0", "HTTP/1.1",
+		"Host", "Connection", "Content-Length", "Content-Type", "Location",
+		"User-Agent", "Accept", "Etag", "If-None-Match",
+		"close", "0", "text/html", "application/json", "application/octet-stream",
+	} {
+		m[s] = s
+	}
+	for _, code := range []int{200, 204, 301, 302, 304, 400, 403, 404, 421, 429, 500, 502, 503} {
+		s := StatusText(code)
+		m[s] = s
+	}
+	return m
+}()

@@ -64,7 +64,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		resp := s.h.ServeHTTP(req.WithContext(s.ctx), flow)
+		req.ctx = s.ctx
+		resp := s.h.ServeHTTP(req, flow)
 		if resp == nil {
 			// Handler chose to drop the request (used by censor simulations
 			// and misbehaving-server tests): say nothing.

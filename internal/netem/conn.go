@@ -37,9 +37,48 @@ func itoa(i int) string {
 }
 
 // segment is a chunk of bytes in flight, deliverable at a real instant.
+// buf[off:] is still unread; buf comes from segBuf and goes back through
+// putSegBuf once the reader has drained it.
 type segment struct {
-	data []byte
-	due  time.Time // real time at which the receiver may read it
+	buf []byte
+	off int
+	due time.Time // real time at which the receiver may read it
+}
+
+// Segment buffers are pooled in three size classes. A segment is one
+// Write, so the classes follow the writes the workloads make: request and
+// response heads, typical bodies, and the largest pages. A Write above the
+// largest class gets a buffer of its own.
+var (
+	segPool512 = sync.Pool{New: func() any { return new([512]byte) }}
+	segPool4K  = sync.Pool{New: func() any { return new([4 << 10]byte) }}
+	segPool32K = sync.Pool{New: func() any { return new([32 << 10]byte) }}
+)
+
+// segBuf returns a buffer of length n, pooled when n fits a size class.
+func segBuf(n int) []byte {
+	switch {
+	case n <= 512:
+		return segPool512.Get().(*[512]byte)[:n]
+	case n <= 4<<10:
+		return segPool4K.Get().(*[4 << 10]byte)[:n]
+	case n <= 32<<10:
+		return segPool32K.Get().(*[32 << 10]byte)[:n]
+	}
+	return make([]byte, n)
+}
+
+// putSegBuf recycles a buffer from segBuf; its capacity names the class.
+// The caller must hold the only reference.
+func putSegBuf(b []byte) {
+	switch cap(b) {
+	case 512:
+		segPool512.Put((*[512]byte)(b[:512]))
+	case 4 << 10:
+		segPool4K.Put((*[4 << 10]byte)(b[:4<<10]))
+	case 32 << 10:
+		segPool32K.Put((*[32 << 10]byte)(b[:32<<10]))
+	}
 }
 
 // pipe is one direction of an emulated connection: a FIFO of segments with
@@ -50,39 +89,54 @@ type segment struct {
 // real-scaled clock (converted by Conn from the virtual timestamps callers
 // set), virtual instants under a discrete-event clock (where Real() is 0,
 // so segments deliver the moment they are written and only the deadlines
-// still need a time domain). Event-mode deadline expiry is driven by an
-// armed clock event that broadcasts the cond when virtual time crosses it.
+// still need a time domain). Event-mode deadline expiry is driven by a
+// clock event, armed when a reader or writer parks with a deadline, that
+// broadcasts the cond when virtual time crosses it.
 type pipe struct {
 	net   *Network
 	clock *vtime.Clock
 	lat   time.Duration // virtual one-way propagation latency
 
 	mu      sync.Mutex
-	cond    *sync.Cond
-	segs    []segment
+	cond    sync.Cond
+	segs    []segment // segs[head:] are queued
+	head    int
+	segArr  [2]segment // segs' first backing array: most pipes carry a head and a body
 	unread  int
-	cap     int
 	lastDue time.Time // real due time of last queued segment
 	closed  bool      // EOF once drained
 	reset   bool      // error immediately
 	rdl     time.Time // read deadline (zero = none); see domain note above
 	wdl     time.Time // write deadline
-	rdlWake func() bool // stops the armed event-mode expiry broadcast
-	wdlWake func() bool
+	rwake   wake      // event-mode expiry broadcast for rdl
+	wwake   wake      // event-mode expiry broadcast for wdl
+}
+
+// wake is an event-mode deadline broadcast, armed for the deadline at.
+type wake struct {
+	at   time.Time
+	stop func() bool // nil when disarmed
+}
+
+// disarm stops the broadcast if it is still pending.
+func (w *wake) disarm() {
+	if w.stop != nil {
+		w.stop()
+		w.stop = nil
+	}
 }
 
 const defaultPipeCap = 1 << 18 // 256 KiB in flight
 
-func newPipe(n *Network, lat time.Duration) *pipe {
-	p := &pipe{net: n, clock: n.clock, lat: lat, cap: defaultPipeCap}
-	p.cond = sync.NewCond(&p.mu)
-	return p
+func (p *pipe) init(n *Network, lat time.Duration) {
+	p.net, p.clock, p.lat = n, n.clock, lat
+	p.cond.L = &p.mu
+	p.segs = p.segArr[:0]
 }
 
 // waitUntil blocks on the pipe's cond until shortly before the real instant
 // t (or a state change); callers re-check and spin the precise tail. Caller
-// must hold p.mu. Real-scaled mode only: event-mode waits use bare
-// cond.Wait, woken by writers or the armed deadline broadcast.
+// must hold p.mu. Real-scaled mode only.
 func (p *pipe) waitUntil(t time.Time) {
 	d := time.Until(t) - vtime.CoarseSleep
 	if d < 0 {
@@ -96,6 +150,36 @@ func (p *pipe) waitUntil(t time.Time) {
 	stop := time.AfterFunc(d, p.lockedBroadcast)
 	p.cond.Wait()
 	stop.Stop()
+}
+
+// park blocks until the pipe's state changes or the deadline dl (zero =
+// none) may have passed; callers re-check both. Caller must hold p.mu and
+// must have found dl unexpired.
+//
+// In event mode nothing but a clock event can wake a waiter whose deadline
+// passes, so park arms w for dl unless it is already armed for it: a conn
+// whose reads and writes never wait costs the scheduler nothing. The
+// already-armed case is safe even if the event has fired: the scheduler
+// moves time to the deadline before firing, so the caller's expiry check
+// would have seen it — unless the firing came after that check, and then
+// its lockedBroadcast is still queued on p.mu and lands once Wait parks.
+func (p *pipe) park(dl time.Time, w *wake) {
+	switch {
+	case dl.IsZero():
+		p.cond.Wait()
+	case !p.clock.EventDriven():
+		p.waitUntil(dl)
+	case w.stop != nil && w.at.Equal(dl):
+		p.cond.Wait()
+	default:
+		w.disarm()
+		d := dl.Sub(p.clock.Now())
+		if d <= 0 {
+			return // expired since the caller's check: let it re-check
+		}
+		w.at, w.stop = dl, p.clock.AfterFunc(d, p.lockedBroadcast)
+		p.cond.Wait()
+	}
 }
 
 // expired reports whether the deadline dl (zero = never) has passed in the
@@ -123,14 +207,10 @@ func (p *pipe) write(b []byte) (int, error) {
 		if p.expired(p.wdl) {
 			return 0, ErrTimeout
 		}
-		if p.unread < p.cap {
+		if p.unread < defaultPipeCap {
 			break
 		}
-		if p.wdl.IsZero() || p.clock.EventDriven() {
-			p.cond.Wait()
-		} else {
-			p.waitUntil(p.wdl)
-		}
+		p.park(p.wdl, &p.wwake)
 	}
 	// Compute delivery time: first byte pays propagation once; subsequent
 	// segments are serialized behind the previous segment at link bandwidth.
@@ -147,9 +227,10 @@ func (p *pipe) write(b []byte) (int, error) {
 	due = due.Add(p.clock.Real(xfer))
 	p.lastDue = due
 
-	data := make([]byte, len(b))
+	data := segBuf(len(b))
 	copy(data, b)
-	p.segs = append(p.segs, segment{data: data, due: due})
+	p.compactLocked()
+	p.segs = append(p.segs, segment{buf: data, due: due})
 	p.unread += len(data)
 	p.cond.Broadcast()
 	return len(b), nil
@@ -165,8 +246,8 @@ func (p *pipe) read(b []byte) (int, error) {
 		if p.expired(p.rdl) {
 			return 0, ErrTimeout
 		}
-		if len(p.segs) > 0 {
-			s := &p.segs[0]
+		if p.head < len(p.segs) {
+			s := &p.segs[p.head]
 			now := time.Now()
 			// Under a discrete-event clock Real() is 0, so due never lands
 			// in the future and this in-flight branch is unreachable: data
@@ -189,11 +270,11 @@ func (p *pipe) read(b []byte) (int, error) {
 				p.waitUntil(until)
 				continue
 			}
-			n := copy(b, s.data)
-			s.data = s.data[n:]
+			n := copy(b, s.buf[s.off:])
+			s.off += n
 			p.unread -= n
-			if len(s.data) == 0 {
-				p.segs = p.segs[1:]
+			if s.off == len(s.buf) {
+				p.popLocked()
 			}
 			p.cond.Broadcast() // wake writers blocked on backpressure
 			return n, nil
@@ -201,12 +282,31 @@ func (p *pipe) read(b []byte) (int, error) {
 		if p.closed {
 			return 0, io.EOF
 		}
-		if p.rdl.IsZero() || p.clock.EventDriven() {
-			p.cond.Wait()
-		} else {
-			p.waitUntil(p.rdl)
-		}
+		p.park(p.rdl, &p.rwake)
 	}
+}
+
+// popLocked recycles the drained head segment. Caller must hold p.mu.
+func (p *pipe) popLocked() {
+	putSegBuf(p.segs[p.head].buf)
+	p.segs[p.head] = segment{}
+	p.head++
+	if p.head == len(p.segs) {
+		p.segs, p.head = p.segs[:0], 0
+	}
+}
+
+// compactLocked slides the queued segments to the front of segs when the
+// drained prefix is at least half of a full slice, so a writer that stays
+// ahead of the reader reuses the dead slots instead of growing segs for the
+// life of the conn. Caller must hold p.mu.
+func (p *pipe) compactLocked() {
+	if len(p.segs) < cap(p.segs) || p.head*2 < len(p.segs) {
+		return
+	}
+	n := copy(p.segs, p.segs[p.head:])
+	clear(p.segs[n:])
+	p.segs, p.head = p.segs[:n], 0
 }
 
 // close marks the pipe for EOF after the queued data drains.
@@ -222,7 +322,9 @@ func (p *pipe) close() {
 func (p *pipe) doReset() {
 	p.mu.Lock()
 	p.reset = true
-	p.segs = nil
+	for p.head < len(p.segs) {
+		p.popLocked()
+	}
 	p.unread = 0
 	p.stopWakesLocked()
 	p.cond.Broadcast()
@@ -245,48 +347,19 @@ func (p *pipe) lockedBroadcast() {
 }
 
 // stopWakesLocked disarms any event-mode deadline broadcasts so a closed
-// conn's far-future deadlines don't linger in the scheduler's heap.
+// conn's far-future deadlines don't linger in the scheduler's heap. A
+// closed or reset pipe never parks again, so nothing re-arms them.
 func (p *pipe) stopWakesLocked() {
-	if p.rdlWake != nil {
-		p.rdlWake()
-		p.rdlWake = nil
-	}
-	if p.wdlWake != nil {
-		p.wdlWake()
-		p.wdlWake = nil
-	}
+	p.rwake.disarm()
+	p.wwake.disarm()
 }
 
-func (p *pipe) setReadDeadline(t time.Time) {
+// setDeadline sets *dl to t. A broadcast armed for the old deadline is
+// stopped, and a party parked under it wakes to re-check and re-arm.
+func (p *pipe) setDeadline(dl *time.Time, w *wake, t time.Time) {
 	p.mu.Lock()
-	p.rdl = t
-	if p.rdlWake != nil {
-		p.rdlWake()
-		p.rdlWake = nil
-	}
-	// Event mode: a blocked reader has no real timer to wake it, so arm a
-	// broadcast for the moment virtual time crosses the deadline.
-	if !t.IsZero() && p.clock.EventDriven() && !p.closed && !p.reset {
-		if d := t.Sub(p.clock.Now()); d > 0 {
-			p.rdlWake = p.clock.AfterFunc(d, p.lockedBroadcast)
-		}
-	}
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
-func (p *pipe) setWriteDeadline(t time.Time) {
-	p.mu.Lock()
-	p.wdl = t
-	if p.wdlWake != nil {
-		p.wdlWake()
-		p.wdlWake = nil
-	}
-	if !t.IsZero() && p.clock.EventDriven() && !p.closed && !p.reset {
-		if d := t.Sub(p.clock.Now()); d > 0 {
-			p.wdlWake = p.clock.AfterFunc(d, p.lockedBroadcast)
-		}
-	}
+	*dl = t
+	w.disarm()
 	p.cond.Broadcast()
 	p.mu.Unlock()
 }
@@ -306,11 +379,19 @@ type Conn struct {
 // connPair builds two connected Conns. lat is the virtual one-way latency of
 // the segment between them.
 func connPair(n *Network, lat time.Duration, a, b Addr, flow Flow) (*Conn, *Conn) {
-	ab := newPipe(n, lat)
-	ba := newPipe(n, lat)
-	ca := &Conn{rx: ba, tx: ab, local: a, remote: b, flow: flow, clock: n.clock}
-	cb := &Conn{rx: ab, tx: ba, local: b, remote: a, flow: flow, clock: n.clock}
-	return ca, cb
+	d := new(duplex)
+	d.ab.init(n, lat)
+	d.ba.init(n, lat)
+	d.a.rx, d.a.tx, d.a.local, d.a.remote, d.a.flow, d.a.clock = &d.ba, &d.ab, a, b, flow, n.clock
+	d.b.rx, d.b.tx, d.b.local, d.b.remote, d.b.flow, d.b.clock = &d.ab, &d.ba, b, a, flow, n.clock
+	return &d.a, &d.b
+}
+
+// duplex is one emulated connection in a single allocation: both
+// directions and both ends.
+type duplex struct {
+	ab, ba pipe
+	a, b   Conn
 }
 
 // Read implements net.Conn.
@@ -376,20 +457,18 @@ func (c *Conn) SetDeadline(t time.Time) error {
 
 // SetReadDeadline implements net.Conn; t is a virtual timestamp.
 func (c *Conn) SetReadDeadline(t time.Time) error {
-	if t.IsZero() {
-		c.rx.setReadDeadline(time.Time{})
-	} else {
-		c.rx.setReadDeadline(c.clock.Deadline(t))
+	if !t.IsZero() {
+		t = c.clock.Deadline(t)
 	}
+	c.rx.setDeadline(&c.rx.rdl, &c.rx.rwake, t)
 	return nil
 }
 
 // SetWriteDeadline implements net.Conn; t is a virtual timestamp.
 func (c *Conn) SetWriteDeadline(t time.Time) error {
-	if t.IsZero() {
-		c.tx.setWriteDeadline(time.Time{})
-	} else {
-		c.tx.setWriteDeadline(c.clock.Deadline(t))
+	if !t.IsZero() {
+		t = c.clock.Deadline(t)
 	}
+	c.tx.setDeadline(&c.tx.wdl, &c.tx.wwake, t)
 	return nil
 }

@@ -107,7 +107,7 @@ func (s *Server) acceptLoop() {
 }
 
 func (s *Server) handle(conn net.Conn) {
-	br := bufio.NewReader(conn)
+	br := bufio.NewReader(conn) // not pooled: Splice's copy goroutine reads from it
 	line, err := br.ReadString('\n')
 	if err != nil {
 		conn.Close()
@@ -200,7 +200,7 @@ func Via(base netem.DialFunc, clock *vtime.Clock, proxyAddr string) netem.DialFu
 			conn.Close()
 			return nil, err
 		}
-		br := bufio.NewReader(conn)
+		br := bufio.NewReader(conn) // not pooled: the returned tunnelConn keeps reading from it
 		line, err := br.ReadString('\n')
 		if err != nil {
 			conn.Close()

@@ -173,10 +173,21 @@ func (c *Conn) Read(b []byte) (int, error) {
 	return n, err
 }
 
+// encPool recycles Write's ciphertext buffers. The underlying conn copies
+// what it keeps (netem queues a copy of every Write), as io.Writer
+// requires, so a buffer is free again once Write returns. Buffers go back
+// whatever their size: the HTTP codec above bounds every Write.
+var encPool = sync.Pool{
+	New: func() any {
+		b := make([]byte, 0, 4<<10)
+		return &b
+	},
+}
+
 // Write encrypts to the underlying connection.
 func (c *Conn) Write(b []byte) (int, error) {
-	enc := make([]byte, len(b))
-	copy(enc, b)
+	bp := encPool.Get().(*[]byte)
+	enc := append((*bp)[:0], b...)
 	c.wmu.Lock()
 	c.wks.xor(enc)
 	n, err := c.Conn.Write(enc)
@@ -184,6 +195,8 @@ func (c *Conn) Write(b []byte) (int, error) {
 		err = io.ErrShortWrite
 	}
 	c.wmu.Unlock()
+	*bp = enc
+	encPool.Put(bp)
 	return n, err
 }
 

@@ -129,7 +129,7 @@ func (d *Directory) relayLoop(r *Relay, l *netem.Listener) {
 }
 
 func (d *Directory) handleHop(r *Relay, conn net.Conn) {
-	br := bufio.NewReader(conn)
+	br := bufio.NewReader(conn) // not pooled: Splice's copy goroutine reads from it
 	_ = conn.SetReadDeadline(d.clock.Now().Add(30 * time.Second))
 	line, err := br.ReadString('\n')
 	if err != nil {

@@ -403,11 +403,13 @@ func TestConcurrentSpans(t *testing.T) {
 				done := make(chan struct{})
 				sp.Hold()
 				go func() {
+					// done closes after Release, so the worker's
+					// last span has emitted before wg.Wait returns.
+					defer close(done)
 					defer sp.Release()
 					bg := sp.Lane("tor")
 					bg.Event("circum", "attempt", "tor")
 					bg.Close()
-					close(done)
 				}()
 				l.Close()
 				sp.Finish("direct", "clean", nil)

@@ -1,7 +1,6 @@
 package web
 
 import (
-	"bufio"
 	"sort"
 	"strconv"
 	"strings"
@@ -129,7 +128,8 @@ func (o *Origin) serveTLSLoop(l *netem.Listener) {
 			if nc, ok := raw.(*netem.Conn); ok {
 				flow = nc.Flow()
 			}
-			br := bufio.NewReader(tc)
+			br := httpx.GetReader(tc)
+			defer httpx.PutReader(br)
 			for {
 				req, err := httpx.ReadRequest(br)
 				if err != nil {
@@ -172,7 +172,8 @@ func ServeHTTPS(host *netem.Host, certs tlsx.CertFunc, h httpx.Handler) (*netem.
 				if nc, ok := raw.(*netem.Conn); ok {
 					flow = nc.Flow()
 				}
-				br := bufio.NewReader(tc)
+				br := httpx.GetReader(tc)
+				defer httpx.PutReader(br)
 				for {
 					req, err := httpx.ReadRequest(br)
 					if err != nil {

@@ -163,7 +163,8 @@ func isIPLiteral(s string) bool {
 }
 
 func readResponseCtx(ctx context.Context, stream net.Conn) (*httpx.Response, error) {
-	br := newBufReader(stream)
+	br := httpx.GetReader(stream)
+	defer httpx.PutReader(br)
 	return httpx.ReadResponseCtx(ctx, br)
 }
 
