@@ -5,20 +5,22 @@
 #   make lint        — csaw-lint: the simulation-invariant analyzers
 #   make race        — full test suite under the race detector
 #   make check       — vet + race + lint (the pre-merge gate alongside tier1)
-#   make bench-fleet — emit BENCH_fleet.json (fleet throughput, the
-#                      sharded-vs-legacy global-DB sync-round comparison,
-#                      and the population-vs-throughput curve with its
-#                      10x event-vs-scaled gate: 10k clients on a 72h
+#   make race-resync — the global-DB reset/read race regression, ten times
+#                      under the race detector
+#   make bench-fleet — emit BENCH_fleet.json (fleet throughput and the
+#                      population-vs-throughput curve with its 10x
+#                      event-vs-scaled gate: 10k clients on a 72h
 #                      steady-state window, where the scaled engine pays
 #                      its window/scale real-sleep floor; takes ~10 min,
 #                      most of it that floor)
 #   make bench-fleet-full — bench-fleet with the 100k-client event-mode
 #                      curve point included (several extra minutes)
-#   make bench-globaldb — emit BENCH_globaldb.json (WAL recovery time vs
-#                      log length with a compaction control, bytes/sync
-#                      full-vs-delta at 1k/10k/100k URL universes gated at
-#                      delta ≤ 20% of full, and the virtual failover-to-
-#                      first-successful-sync latency)
+#   make bench-globaldb — emit BENCH_globaldb.json (the sync round's cost
+#                      gated at ≤ 30 allocs/op and ≤ 170 µs/op, WAL
+#                      recovery time vs log length with a compaction
+#                      control, bytes/sync full-vs-delta at 1k/10k/100k URL
+#                      universes gated at delta ≤ 20% of full, and the
+#                      virtual failover-to-first-successful-sync latency)
 #   make chaos       — deterministic chaos sweep under -race: the fixed
 #                      primary-loss schedule plus 20 generated fault
 #                      schedules against the replicated global DB; every
@@ -38,7 +40,7 @@
 
 GO ?= go
 
-.PHONY: all build test tier1 vet lint race check bench-fleet bench-fleet-full bench-globaldb chaos soak-churn golden fuzz cover perfbench-smoke
+.PHONY: all build test tier1 vet lint race race-resync check bench-fleet bench-fleet-full bench-globaldb chaos soak-churn golden fuzz cover perfbench-smoke
 
 all: tier1
 
@@ -58,6 +60,9 @@ lint:
 
 race:
 	$(GO) test -race ./...
+
+race-resync:
+	$(GO) test -race -count=10 -run TestResetForResyncConcurrentReads ./internal/globaldb
 
 check: vet race lint
 

@@ -33,6 +33,7 @@ import (
 	"csaw/internal/chaos"
 	"csaw/internal/globaldb"
 	"csaw/internal/globaldb/replica"
+	"csaw/internal/httpx"
 	"csaw/internal/localdb"
 	"csaw/internal/metrics"
 	"csaw/internal/netem"
@@ -62,19 +63,13 @@ func main() {
 	asn := 17557
 
 	srvHost := n.MustAddHost("globaldb", "40.0.0.1", "us", cloud)
-	var srv *globaldb.Server
-	if *walDir != "" || *replicas > 0 {
-		var err error
-		srv, err = globaldb.NewDurableServer(clock, nil, globaldb.StoreOptions{
-			Dir:           *walDir,
-			SnapshotEvery: *snapEvery,
-			Replicated:    *replicas > 0,
-		})
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		srv = globaldb.NewServer(clock, nil)
+	srv, err := globaldb.NewServer(clock, nil, globaldb.StoreOptions{
+		Dir:           *walDir,
+		SnapshotEvery: *snapEvery,
+		Replicated:    *replicas > 0,
+	})
+	if err != nil {
+		fatal(err)
 	}
 	if err := srv.Attach(srvHost, 80); err != nil {
 		fatal(err)
@@ -94,9 +89,13 @@ func main() {
 		for i := range followers {
 			host := n.MustAddHost(fmt.Sprintf("globaldb-replica-%d", i),
 				fmt.Sprintf("40.0.1.%d", i+1), "us", cloud)
+			fsrv, err := globaldb.NewServer(clock, nil, globaldb.StoreOptions{})
+			if err != nil {
+				fatal(err)
+			}
 			f := &replica.Follower{
 				Name:        fmt.Sprintf("replica-%d", i),
-				Server:      globaldb.NewServer(clock, nil),
+				Server:      fsrv,
 				PrimaryAddr: "40.0.0.1:80",
 				PrimaryHost: "globaldb.example",
 				Dial:        host.Dial,
@@ -191,7 +190,7 @@ func main() {
 		demoFailover(ctx, n, clock, srv, set, endpoints, asn, fullBytes)
 	}
 	if *walDir != "" {
-		demoRecovery(srv, *walDir, *snapEvery, asn, fullBytes, len(entries))
+		demoRecovery(clock, srv, *walDir, *snapEvery, asn, fullBytes, len(entries))
 	}
 }
 
@@ -240,23 +239,24 @@ func demoFailover(ctx context.Context, n *netem.Network, clock *vtime.Clock,
 
 // demoRecovery kills the durable server and reopens its directory: recovery
 // replays snapshot + log tail and must serve the exact pre-kill body.
-func demoRecovery(srv *globaldb.Server, dir string, snapEvery, asn, fullBytes, nEntries int) {
+func demoRecovery(clock *vtime.Clock, srv *globaldb.Server, dir string, snapEvery, asn, fullBytes, nEntries int) {
 	if err := srv.Close(); err != nil {
 		fatal(fmt.Errorf("close durable server: %w", err))
 	}
-	re, err := globaldb.NewWALBenchStore(dir, snapEvery)
+	re, err := globaldb.NewServer(clock, nil, globaldb.StoreOptions{Dir: dir, SnapshotEvery: snapEvery})
 	if err != nil {
-		fatal(fmt.Errorf("recover store: %w", err))
+		fatal(fmt.Errorf("recover server: %w", err))
 	}
-	body := re.FetchResponse(asn)
-	recovered := re.Recovered()
-	fmt.Printf("\nkill-and-recover from %s: replayed %d log records; blocked list is %d bytes (pre-kill %d), %d entries (pre-kill %d)\n",
-		dir, recovered, len(body), fullBytes, len(re.BlockedForAS(asn)), nEntries)
-	if len(body) != fullBytes || len(re.BlockedForAS(asn)) != nEntries {
+	req := httpx.NewRequest("GET", "globaldb.example", fmt.Sprintf("%s?asn=%d", globaldb.PathFetch, asn))
+	resp := re.Handler().ServeHTTP(req, netem.Flow{})
+	recovered := len(re.BlockedForAS(asn))
+	fmt.Printf("\nkill-and-recover from %s: blocked list is %d bytes (pre-kill %d), %d entries (pre-kill %d)\n",
+		dir, len(resp.Body), fullBytes, recovered, nEntries)
+	if resp.StatusCode != 200 || len(resp.Body) != fullBytes || recovered != nEntries {
 		fatal(fmt.Errorf("recovered state diverges from the pre-kill state"))
 	}
 	if err := re.Close(); err != nil {
-		fatal(fmt.Errorf("close recovered store: %w", err))
+		fatal(fmt.Errorf("close recovered server: %w", err))
 	}
 	fmt.Println("recovered state matches byte-for-byte")
 }

@@ -1,7 +1,7 @@
 // Package chaos adversarially validates the global DB's promotion and
 // fencing machinery under deterministic, seeded fault schedules. A Cluster
 // is a three-node promotion-enabled replica set on an emulated network —
-// every node a strict, feed-backed durable store with its own WAL
+// every node a feed-backed durable store with its own WAL
 // directory and its own AS-egress fault injector — plus one client that
 // keeps writing censorship reports throughout the schedule, chasing leader
 // hints like any C-Saw client.
@@ -170,15 +170,14 @@ func (c *Cluster) startNode(i int) error {
 		Dir:           c.dirs[i],
 		SnapshotEvery: -1, // the WAL is the complete history; offsets survive restarts
 		Replicated:    true,
-		Strict:        true,
 	}
-	srv, err := globaldb.NewDurableServer(c.Clock, nil, opts)
+	srv, err := globaldb.NewServer(c.Clock, nil, opts)
 	if errors.Is(err, storage.ErrHistoryLoss) {
 		c.Counts["history-loss-wipe"]++
 		if err := os.RemoveAll(c.dirs[i]); err != nil {
 			return err
 		}
-		srv, err = globaldb.NewDurableServer(c.Clock, nil, opts)
+		srv, err = globaldb.NewServer(c.Clock, nil, opts)
 		if err != nil {
 			return err
 		}
@@ -303,7 +302,7 @@ func (c *Cluster) Flap(asIdx, n int) {
 }
 
 // TearLeader arms the torn-write hook on the current leader's WAL: its
-// next logged mutation writes a partial frame and fails, strict mode
+// next logged mutation writes a partial frame and fails, the store
 // rejects the write (the client is NOT acked), and the node refuses all
 // further writes until it is restarted — at which point recovery truncates
 // the torn tail. Returns the torn node's index, or -1 if no live leader.
@@ -345,8 +344,8 @@ func (c *Cluster) BitFlip() int {
 }
 
 // Write posts one fresh blocked-URL report; a 200 records it as acked.
-// Failures (dead leader, fencing gaps mid-election, strict 503 after a
-// torn write) are the schedule's job to cause and are not errors here.
+// Failures (dead leader, fencing gaps mid-election, a 503 after a torn
+// write) are the schedule's job to cause and are not errors here.
 func (c *Cluster) Write(ctx context.Context, round int) {
 	url := fmt.Sprintf("blocked-%03d.example/", round)
 	rec := localdb.Record{

@@ -24,7 +24,7 @@ const (
 	PathReport   = "/v1/report"
 	PathFetch    = "/v1/blocked"
 	PathStats    = "/v1/stats"
-	// PathRepl is the replication pull endpoint served by durable primaries:
+	// PathRepl is the replication pull endpoint served by replicated stores:
 	// GET /v1/repl?from=N&follower=name&max=M returns framed WAL records
 	// starting at sequence N (at most M bytes), recording name's ack at N.
 	PathRepl = "/v1/repl"

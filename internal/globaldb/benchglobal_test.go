@@ -12,19 +12,29 @@ import (
 
 // --- The BENCH_globaldb.json emitter ------------------------------------
 //
-// The durable-replicated-DB trajectory: recovery cost vs log length (does
-// the WAL+snapshot design keep restart cheap), bytes/sync full-vs-delta as
-// the URL universe grows (does versioned delta sync keep the client's
-// steady-state traffic flat, §5's scaling concern), and the virtual-time
-// cost of failing over from a blackholed primary to a follower replica.
-// `make bench-globaldb` runs TestEmitBenchGlobalDB with
-// CSAW_BENCH_GLOBALDB_OUT set; CI uploads the document alongside
-// BENCH_fleet.json and the delta gate fails the job when a converged
-// list's delta payload exceeds 20% of the full body.
+// The global-DB trajectory: the server-side cost of one fleet sync round
+// (BenchmarkFleetSyncRound, gated on an absolute allocation and time
+// budget), recovery cost vs log length (does the WAL+snapshot design keep
+// restart cheap), bytes/sync full-vs-delta as the URL universe grows (does
+// versioned delta sync keep the client's steady-state traffic flat, §5's
+// scaling concern), and the virtual-time cost of failing over from a
+// blackholed primary to a follower replica. `make bench-globaldb` runs
+// TestEmitBenchGlobalDB with CSAW_BENCH_GLOBALDB_OUT set; CI uploads the
+// document alongside BENCH_fleet.json, and the job fails when the sync
+// round exceeds its budget or a converged list's delta payload exceeds 20%
+// of the full body.
 
 // deltaRatioGate is the acceptance gate: on a converged list, one drifted
 // entry must cost at most this fraction of a full-list download.
 const deltaRatioGate = 0.20
+
+type syncRoundPoint struct {
+	NsPerOp      float64 `json:"ns_per_op"`
+	AllocsPerOp  int64   `json:"allocs_per_op"`
+	BytesPerOp   int64   `json:"bytes_per_op"`
+	NsBudget     float64 `json:"ns_per_op_budget"`
+	AllocsBudget int64   `json:"allocs_per_op_budget"`
+}
 
 type recoveryPoint struct {
 	// LogRecords is the number of mutations written before the restart.
@@ -60,9 +70,12 @@ type failoverPoint struct {
 	Fetch304 bool `json:"fetch_304"`
 }
 
+// benchGlobalDBDoc is the emitted schema. Schema 2 adds sync_round, the
+// budgeted sync-round cost that moved here from BENCH_fleet.json.
 type benchGlobalDBDoc struct {
 	Schema         int              `json:"schema"`
 	Generated      string           `json:"generated"`
+	SyncRound      syncRoundPoint   `json:"sync_round"`
 	Recovery       []recoveryPoint  `json:"recovery"`
 	DeltaSync      []deltaSyncPoint `json:"delta_sync"`
 	DeltaRatioGate float64          `json:"delta_ratio_gate"`
@@ -79,25 +92,26 @@ func benchRecoveryPoint(t *testing.T, records int64, snapshotEvery int) recovery
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewWALBenchStore(dir, snapshotEvery)
+	o := StoreOptions{Dir: dir, SnapshotEvery: snapshotEvery}
+	s, err := newStore(o)
 	if err != nil {
 		t.Fatalf("open wal store: %v", err)
 	}
-	s.AddUser("bench-writer")
+	mustAddUser(t, s, "bench-writer")
 	for i := int64(1); i < records; i++ { // addUser wrote record 0
-		if _, ok := s.Ingest("bench-writer", utc, []Report{{
+		if _, err := s.ingest("bench-writer", utc, []Report{{
 			URL: fmt.Sprintf("u%06d.example/", i), ASN: 100 + int(i)%16,
 			Stages: []WireStage{{Type: 1, Detail: "nxdomain"}}, Tm: utc,
-		}}); !ok {
-			t.Fatal("bench ingest rejected")
+		}}); err != nil {
+			t.Fatalf("bench ingest rejected: %v", err)
 		}
 	}
-	if err := s.Close(); err != nil {
+	if err := s.close(); err != nil {
 		t.Fatalf("close wal store: %v", err)
 	}
 
 	start := time.Now() //lint:allow-realtime benchmark measures real recovery time by design
-	re, err := NewWALBenchStore(dir, snapshotEvery)
+	re, err := newStore(o)
 	if err != nil {
 		t.Fatalf("reopen wal store: %v", err)
 	}
@@ -105,13 +119,13 @@ func benchRecoveryPoint(t *testing.T, records int64, snapshotEvery int) recovery
 	p := recoveryPoint{
 		LogRecords: records,
 		Compacted:  snapshotEvery >= 0,
-		Replayed:   re.Recovered(),
+		Replayed:   re.recovered,
 		RecoveryMs: float64(elapsed.Microseconds()) / 1000,
 	}
-	if body := re.FetchResponse(100); len(body) == 0 {
+	if body := re.fetchResponse(100, "").body; len(body) == 0 {
 		t.Error("recovered store serves an empty body")
 	}
-	if err := re.Close(); err != nil {
+	if err := re.close(); err != nil {
 		t.Fatal(err)
 	}
 	if !p.Compacted && p.Replayed != records {
@@ -129,9 +143,9 @@ func benchRecoveryPoint(t *testing.T, records int64, snapshotEvery int) recovery
 // mean conditional-fetch payload over driftRounds single-entry drifts.
 func benchDeltaPoint(t *testing.T, universe, driftRounds int) deltaSyncPoint {
 	t.Helper()
-	s := NewShardedBenchStore()
+	s := openStore(t, StoreOptions{})
 	const asn = 100
-	s.AddUser("seeder")
+	mustAddUser(t, s, "seeder")
 	batch := make([]Report, universe)
 	for i := range batch {
 		batch[i] = Report{
@@ -139,32 +153,33 @@ func benchDeltaPoint(t *testing.T, universe, driftRounds int) deltaSyncPoint {
 			Stages: []WireStage{{Type: 1, Detail: "nxdomain"}}, Tm: utc,
 		}
 	}
-	if n, ok := s.Ingest("seeder", utc, batch); !ok || n != universe {
-		t.Fatalf("seeding %d URLs: accepted %d, ok %v", universe, n, ok)
+	if n, err := s.ingest("seeder", utc, batch); err != nil || n != universe {
+		t.Fatalf("seeding %d URLs: accepted %d, err %v", universe, n, err)
 	}
 
-	full, tag, delta := s.FetchConditional(asn, "")
-	if delta || len(full) == 0 || tag == "" {
-		t.Fatalf("initial fetch: %d bytes, tag %q, delta %v — want a tagged full body", len(full), tag, delta)
+	first := s.fetchResponse(asn, "")
+	full, tag := first.body, first.tag
+	if first.delta || len(full) == 0 || tag == "" {
+		t.Fatalf("initial fetch: %d bytes, tag %q, delta %v — want a tagged full body", len(full), tag, first.delta)
 	}
 
 	deltaBytes := 0
 	for r := 0; r < driftRounds; r++ {
 		drifter := fmt.Sprintf("drifter-%03d", r)
-		s.AddUser(drifter)
-		if n, ok := s.Ingest(drifter, utc, []Report{{
+		mustAddUser(t, s, drifter)
+		if n, err := s.ingest(drifter, utc, []Report{{
 			URL: fmt.Sprintf("drift%03d.example/", r), ASN: asn,
 			Stages: []WireStage{{Type: 3, Detail: "blockpage"}}, Tm: utc,
-		}}); !ok || n != 1 {
-			t.Fatalf("drift round %d: accepted %d, ok %v", r, n, ok)
+		}}); err != nil || n != 1 {
+			t.Fatalf("drift round %d: accepted %d, err %v", r, n, err)
 		}
-		body, newTag, isDelta := s.FetchConditional(asn, tag)
-		if !isDelta {
+		fr := s.fetchResponse(asn, tag)
+		if !fr.delta {
 			t.Fatalf("drift round %d at universe %d: conditional fetch fell back to a full body (%d bytes)",
-				r, universe, len(body))
+				r, universe, len(fr.body))
 		}
-		deltaBytes += len(body)
-		tag = newTag
+		deltaBytes += len(fr.body)
+		tag = fr.tag
 	}
 	mean := float64(deltaBytes) / float64(driftRounds)
 	return deltaSyncPoint{
@@ -208,9 +223,10 @@ func benchFailover(t *testing.T) failoverPoint {
 
 // TestEmitBenchGlobalDB writes BENCH_globaldb.json when
 // CSAW_BENCH_GLOBALDB_OUT is set (`make bench-globaldb`) and enforces the
-// delta-sync acceptance gate: at every measured universe size the mean
-// delta payload must stay at or under 20% of the full-list body. CI uploads
-// the document alongside BENCH_fleet.json.
+// acceptance gates: one sync round stays within syncRoundAllocsBudget
+// allocations and syncRoundNsBudget nanoseconds, and at every measured
+// universe size the mean delta payload stays at or under 20% of the
+// full-list body. CI uploads the document alongside BENCH_fleet.json.
 func TestEmitBenchGlobalDB(t *testing.T) {
 	out := os.Getenv("CSAW_BENCH_GLOBALDB_OUT")
 	if out == "" {
@@ -218,9 +234,21 @@ func TestEmitBenchGlobalDB(t *testing.T) {
 	}
 
 	var doc benchGlobalDBDoc
-	doc.Schema = 1
+	doc.Schema = 2
 	doc.Generated = time.Now().UTC().Format(time.RFC3339) //lint:allow-realtime artifact timestamp for the operator
 	doc.DeltaRatioGate = deltaRatioGate
+
+	sr := testing.Benchmark(BenchmarkFleetSyncRound)
+	doc.SyncRound = syncRoundPoint{
+		NsPerOp: float64(sr.NsPerOp()), AllocsPerOp: sr.AllocsPerOp(), BytesPerOp: sr.AllocedBytesPerOp(),
+		NsBudget: syncRoundNsBudget, AllocsBudget: syncRoundAllocsBudget,
+	}
+	if doc.SyncRound.AllocsPerOp > syncRoundAllocsBudget {
+		t.Errorf("sync round allocates %d times per op, over the %d budget", doc.SyncRound.AllocsPerOp, syncRoundAllocsBudget)
+	}
+	if doc.SyncRound.NsPerOp > syncRoundNsBudget {
+		t.Errorf("sync round takes %.0f ns/op, over the %d ns budget", doc.SyncRound.NsPerOp, syncRoundNsBudget)
+	}
 
 	for _, records := range []int64{1_000, 10_000, 100_000} {
 		doc.Recovery = append(doc.Recovery, benchRecoveryPoint(t, records, -1))
@@ -252,6 +280,8 @@ func TestEmitBenchGlobalDB(t *testing.T) {
 	if err := os.WriteFile(out, raw, 0o644); err != nil {
 		t.Fatalf("write %s: %v", out, err)
 	}
+	t.Logf("sync round: %.0f ns/op, %d allocs/op, %d B/op",
+		doc.SyncRound.NsPerOp, doc.SyncRound.AllocsPerOp, doc.SyncRound.BytesPerOp)
 	for _, p := range doc.Recovery {
 		t.Logf("recovery: %6d records (compacted=%v) → replayed %6d in %8.2fms",
 			p.LogRecords, p.Compacted, p.Replayed, p.RecoveryMs)

@@ -7,13 +7,10 @@ import (
 	"time"
 )
 
-// Store conformance suite: every backend — the retained single-mutex seed
-// store, the sharded default, and the WAL-backed durable store (with and
-// without a directory) — must expose identical ingest/dedup/revoke and
-// aggregation semantics. Conditional-fetch behavior is the one permitted
-// divergence, pinned by TestConformanceConditionalContract below: tagged
-// stores may answer 304/delta, the tagless legacy store must always serve
-// the full body.
+// Store conformance suite: every store configuration — in memory (the
+// reference), write-ahead logged with frequent compaction, feed-only, and
+// logged plus feed — must expose identical ingest/dedup/revoke, aggregation
+// and conditional-fetch semantics.
 
 // utc is the workload epoch; UTC so serialized instants survive export and
 // restore byte-identically regardless of the host zone.
@@ -21,49 +18,67 @@ var utc = time.Unix(1_000_000_000, 0).UTC()
 
 type storeFactory struct {
 	name string
-	mk   func(t *testing.T) store
+	mk   func(t *testing.T) *store
 }
 
 func storeFactories() []storeFactory {
 	return []storeFactory{
-		{"legacy", func(t *testing.T) store { return newLegacyStore() }},
-		{"sharded", func(t *testing.T) store { return newShardedStore() }},
-		{"wal", func(t *testing.T) store {
-			d, err := newDurableStore(StoreOptions{Dir: t.TempDir(), SnapshotEvery: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() {
-				if err := d.close(); err != nil {
-					t.Errorf("close: %v", err)
-				}
-			})
-			return d
+		{"sharded", func(t *testing.T) *store { return openStore(t, StoreOptions{}) }},
+		{"wal", func(t *testing.T) *store {
+			return openStore(t, StoreOptions{Dir: t.TempDir(), SnapshotEvery: 8})
 		}},
-		{"feed-only", func(t *testing.T) store {
-			d, err := newDurableStore(StoreOptions{Replicated: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
+		{"feed-only", func(t *testing.T) *store { return openStore(t, StoreOptions{Replicated: true}) }},
+		{"wal+feed", func(t *testing.T) *store {
+			return openStore(t, StoreOptions{Dir: t.TempDir(), SnapshotEvery: 8, Replicated: true})
 		}},
+	}
+}
+
+// openStore opens a store the test closes on cleanup.
+func openStore(t *testing.T, o StoreOptions) *store {
+	t.Helper()
+	s, err := newStore(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := s.close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	})
+	return s
+}
+
+// mustAddUser registers uuid, failing the test if the store rejects it.
+func mustAddUser(t *testing.T, s *store, uuid string) {
+	t.Helper()
+	if err := s.addUser(uuid); err != nil {
+		t.Fatalf("addUser %q: %v", uuid, err)
+	}
+}
+
+// mustRevoke revokes uuid, failing the test if the store rejects it.
+func mustRevoke(t *testing.T, s *store, uuid string) {
+	t.Helper()
+	if err := s.revoke(uuid); err != nil {
+		t.Fatalf("revoke %q: %v", uuid, err)
 	}
 }
 
 // conformanceWorkload drives one scripted history through a store and
 // returns every observable: ingest results, aggregations, full fetch
 // bodies, and stats.
-func conformanceWorkload(t *testing.T, s store) string {
+func conformanceWorkload(t *testing.T, s *store) string {
 	t.Helper()
 	var out bytes.Buffer
 	obs := func(format string, args ...any) { fmt.Fprintf(&out, format+"\n", args...) }
 
-	s.addUser("alice")
-	s.addUser("bob")
-	s.addUser("alice") // idempotent re-register
+	mustAddUser(t, s, "alice")
+	mustAddUser(t, s, "bob")
+	mustAddUser(t, s, "alice") // idempotent re-register
 
 	// Unknown and revoked users are rejected.
-	if n, ok := s.ingest("nobody", utc, []Report{{URL: "x.example/", ASN: 100, Tm: utc}}); ok {
+	if n, err := s.ingest("nobody", utc, []Report{{URL: "x.example/", ASN: 100, Tm: utc}}); err == nil {
 		t.Fatalf("unknown uuid accepted %d reports", n)
 	}
 
@@ -71,33 +86,33 @@ func conformanceWorkload(t *testing.T, s store) string {
 	batch := []Report{
 		{URL: "a.example/", ASN: 100, Stages: stages, Tm: utc},
 		{URL: "b.example/", ASN: 100, Stages: stages, Tm: utc},
-		{URL: "", ASN: 100, Tm: utc},  // invalid: skipped
-		{URL: "c.example/", Tm: utc},  // invalid: ASN 0
+		{URL: "", ASN: 100, Tm: utc}, // invalid: skipped
+		{URL: "c.example/", Tm: utc}, // invalid: ASN 0
 	}
-	n, ok := s.ingest("alice", utc, batch)
-	obs("alice batch1: %d %v", n, ok)
+	n, err := s.ingest("alice", utc, batch)
+	obs("alice batch1: %d %v", n, err)
 
 	// Re-post after a lost ack: the exact same batch again. Accepted counts
 	// repeat (the server cannot tell a retry from a refresh) but the
 	// dedup-aware updates counter must not move — pinned via stats below.
-	n, ok = s.ingest("alice", utc.Add(time.Minute), batch)
-	obs("alice repost: %d %v", n, ok)
+	n, err = s.ingest("alice", utc.Add(time.Minute), batch)
+	obs("alice repost: %d %v", n, err)
 
-	n, ok = s.ingest("bob", utc.Add(2*time.Minute), []Report{
+	n, err = s.ingest("bob", utc.Add(2*time.Minute), []Report{
 		{URL: "a.example/", ASN: 100, Stages: []WireStage{{Type: 4, Detail: "rst"}}, Tm: utc},
 		{URL: "d.example/", ASN: 200, Stages: nil, Tm: utc},
 		{URL: "e.example/", ASN: 200, Stages: []WireStage{}, Tm: utc},
 	})
-	obs("bob batch: %d %v", n, ok)
+	obs("bob batch: %d %v", n, err)
 
 	for _, asn := range []int{100, 200, 300} {
 		obs("blocked %d: %+v", asn, s.blockedForAS(asn))
 		obs("body %d: %s", asn, s.fetchResponse(asn, "").body)
 	}
 
-	s.revoke("bob")
-	n, ok = s.ingest("bob", utc.Add(3*time.Minute), []Report{{URL: "f.example/", ASN: 100, Tm: utc}})
-	obs("bob after revoke: %d %v", n, ok)
+	mustRevoke(t, s, "bob")
+	n, err = s.ingest("bob", utc.Add(3*time.Minute), []Report{{URL: "f.example/", ASN: 100, Tm: utc}})
+	obs("bob after revoke: %d %v", n, err)
 	for _, asn := range []int{100, 200} {
 		obs("blocked post-revoke %d: %+v", asn, s.blockedForAS(asn))
 		obs("body post-revoke %d: %s", asn, s.fetchResponse(asn, "").body)
@@ -126,19 +141,18 @@ func TestStoreConformance(t *testing.T) {
 }
 
 // TestConformanceConditionalContract pins the conditional-fetch contract per
-// backend: a tagged store answers its own current tag with 304 and never
-// serves a body under a foreign tag it happens to match; the legacy store
-// ignores If-None-Match entirely — a stale non-empty tag (left over from a
-// tagged backend before a failover or store swap) must get the full body,
-// never a spurious 304 that would freeze the client's list.
+// configuration: the store answers its own current tag with 304 and never
+// serves a body under a foreign tag it happens to match — a stale tag (left
+// over from another node before a failover) must get the full body or a
+// delta, never a spurious 304 that would freeze the client's list.
 func TestConformanceConditionalContract(t *testing.T) {
 	for _, f := range storeFactories() {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
 			s := f.mk(t)
-			s.addUser("u")
-			if _, ok := s.ingest("u", utc, []Report{{URL: "a.example/", ASN: 100, Tm: utc}}); !ok {
-				t.Fatal("ingest rejected")
+			mustAddUser(t, s, "u")
+			if _, err := s.ingest("u", utc, []Report{{URL: "a.example/", ASN: 100, Tm: utc}}); err != nil {
+				t.Fatal(err)
 			}
 			first := s.fetchResponse(100, "")
 			if first.notModified || first.delta || len(first.body) == 0 {
@@ -153,14 +167,6 @@ func TestConformanceConditionalContract(t *testing.T) {
 			if !bytes.Equal(stale.body, first.body) && !stale.delta {
 				t.Fatalf("stale tag served neither full body nor delta")
 			}
-			if first.tag == "" {
-				// Tagless store: even its own (empty) answer must not 304.
-				again := s.fetchResponse(100, "")
-				if again.notModified || !bytes.Equal(again.body, first.body) {
-					t.Fatalf("tagless store conditional answer: %+v", again)
-				}
-				return
-			}
 			hit := s.fetchResponse(100, first.tag)
 			if !hit.notModified || hit.body != nil || hit.tag != first.tag {
 				t.Fatalf("current tag not answered 304: %+v", hit)
@@ -169,49 +175,27 @@ func TestConformanceConditionalContract(t *testing.T) {
 	}
 }
 
-// TestConformanceRepostDedup pins the lost-ack retry path on every backend:
-// re-posting an identical batch must not inflate the updates counter.
+// TestConformanceRepostDedup pins the lost-ack retry path on every
+// configuration: re-posting an identical batch must not inflate the updates
+// counter.
 func TestConformanceRepostDedup(t *testing.T) {
 	for _, f := range storeFactories() {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
 			s := f.mk(t)
-			s.addUser("u")
+			mustAddUser(t, s, "u")
 			batch := []Report{
 				{URL: "a.example/", ASN: 100, Tm: utc},
 				{URL: "b.example/", ASN: 200, Tm: utc},
 			}
 			for i := 0; i < 3; i++ {
-				if n, ok := s.ingest("u", utc.Add(time.Duration(i)*time.Minute), batch); n != 2 || !ok {
-					t.Fatalf("post %d: %d %v", i, n, ok)
+				if n, err := s.ingest("u", utc.Add(time.Duration(i)*time.Minute), batch); n != 2 || err != nil {
+					t.Fatalf("post %d: %d %v", i, n, err)
 				}
 			}
 			if st := s.stats(); st.Updates != 2 {
 				t.Fatalf("updates after 3 identical posts = %d, want 2", st.Updates)
 			}
 		})
-	}
-}
-
-// TestLegacyEmptyTagPath is the regression pin for the legacy store's
-// explicit empty-tag contract in isolation (the cross-backend suite above
-// exercises it too): tag is always "", notModified and delta never fire,
-// whatever If-None-Match says.
-func TestLegacyEmptyTagPath(t *testing.T) {
-	s := newLegacyStore()
-	s.addUser("u")
-	if _, ok := s.ingest("u", utc, []Report{{URL: "a.example/", ASN: 100, Tm: utc}}); !ok {
-		t.Fatal("ingest rejected")
-	}
-	full := s.fetchResponse(100, "")
-	for _, inm := range []string{"", "0.0", "1.0", full.tag, "garbage"} {
-		fr := s.fetchResponse(100, inm)
-		if fr.tag != "" || fr.notModified || fr.delta {
-			t.Fatalf("inm %q: tag=%q notModified=%v delta=%v, want tagless full body",
-				inm, fr.tag, fr.notModified, fr.delta)
-		}
-		if !bytes.Equal(fr.body, full.body) {
-			t.Fatalf("inm %q: body differs from unconditional fetch", inm)
-		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"csaw/internal/httpx"
 	"csaw/internal/localdb"
 	"csaw/internal/netem"
 	"csaw/internal/vtime"
@@ -51,7 +52,7 @@ func TestMergeDeltaReconstructsFullList(t *testing.T) {
 // cached entries reproduces the current full list exactly; unknown tags
 // fall back to the full body.
 func TestShardedDeltaServing(t *testing.T) {
-	s := newShardedStore()
+	s := newShardedState()
 	s.addUser("u1")
 	s.addUser("u2")
 	s.addUser("u3")
@@ -150,7 +151,7 @@ func entriesEqual(a, b []Entry) bool {
 // TestDeltaHistoryCap pins that the history stays bounded and that a tag
 // older than the cap falls back to the full body.
 func TestDeltaHistoryCap(t *testing.T) {
-	s := newShardedStore()
+	s := newShardedState()
 	s.addUser("u")
 	s.ingest("u", utc, []Report{{URL: "seed.example/", ASN: 100, Tm: utc}})
 	oldest := s.fetchResponse(100, "")
@@ -247,24 +248,34 @@ func TestClientTagDowngrade(t *testing.T) {
 	cloud := n.AddAS(900, "Cloud", "US")
 	n.SetRTT("pk", "us", 100*time.Millisecond)
 
-	// Two backends at different addresses: a sharded (tagged) one and a
-	// legacy (tagless) one, with different content for the same AS.
-	tagged := NewServer(clock, nil)
+	// Two backends at different addresses: a real (tagged) server and a
+	// stub that never sends an ETag, with different content for the same AS.
+	tagged, err := NewServer(clock, nil, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := tagged.Attach(n.MustAddHost("tagged", "40.0.0.1", "us", cloud), 80); err != nil {
 		t.Fatal(err)
 	}
-	tagless := newServerWith(clock, nil, newLegacyStore(), nil)
-	if err := tagless.Attach(n.MustAddHost("tagless", "40.0.0.2", "us", cloud), 80); err != nil {
+	mustAddUser(t, tagged.store, "seed")
+	if _, err := tagged.store.ingest("seed", clock.Now(), []Report{
+		{URL: "backend0.example/", ASN: 100, Tm: clock.Now()},
+	}); err != nil {
+		t.Fatalf("seed ingest rejected: %v", err)
+	}
+	taglessBody, err := json.Marshal(FetchResponse{ASN: 100, Entries: []Entry{
+		{URL: "backend1.example/", ASN: 100, Votes: 1, Reporters: 1},
+	}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i, srv := range []*Server{tagged, tagless} {
-		srv.store.addUser("seed")
-		if _, ok := srv.store.ingest("seed", clock.Now(), []Report{
-			{URL: fmt.Sprintf("backend%d.example/", i), ASN: 100, Tm: clock.Now()},
-		}); !ok {
-			t.Fatal("seed ingest rejected")
-		}
+	l, err := n.MustAddHost("tagless", "40.0.0.2", "us", cloud).Listen(80)
+	if err != nil {
+		t.Fatal(err)
 	}
+	httpx.Serve(l, httpx.HandlerFunc(func(*httpx.Request, netem.Flow) *httpx.Response {
+		return httpx.NewResponse(200, taglessBody) // whatever If-None-Match says
+	}))
 
 	h := n.MustAddHost("client", "10.0.0.1", "pk", pk)
 	c := &Client{Addr: "40.0.0.1:80", Host: "globaldb.example", Clock: clock,

@@ -27,16 +27,19 @@ func failoverWorld(t *testing.T) (*netem.Network, []*Server, func(name, ip strin
 
 	servers := make([]*Server, 3)
 	for i := range servers {
-		srv := NewServer(clock, nil)
+		srv, err := NewServer(clock, nil, StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		host := n.MustAddHost(fmt.Sprintf("gdb%d", i), fmt.Sprintf("40.0.0.%d", i+1), "us", cloud)
 		if err := srv.Attach(host, 80); err != nil {
 			t.Fatal(err)
 		}
-		srv.store.addUser("seed")
-		if _, ok := srv.store.ingest("seed", utc, []Report{
+		mustAddUser(t, srv.store, "seed")
+		if _, err := srv.store.ingest("seed", utc, []Report{
 			{URL: "blocked.example/", ASN: 100, Stages: []WireStage{{Type: 1, Detail: "nxdomain"}}, Tm: utc},
-		}); !ok {
-			t.Fatal("seed ingest rejected")
+		}); err != nil {
+			t.Fatalf("seed ingest rejected: %v", err)
 		}
 		servers[i] = srv
 	}

@@ -22,7 +22,10 @@ func gdbWorld(t *testing.T) (*netem.Network, *Server, func(name, ip string) *Cli
 	srvHost := n.MustAddHost("globaldb", "40.0.0.1", "us", cloud)
 	n.SetRTT("pk", "us", 120*time.Millisecond)
 
-	srv := NewServer(clock, nil)
+	srv, err := NewServer(clock, nil, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := srv.Attach(srvHost, 80); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +190,9 @@ func TestRevokeSilencesUser(t *testing.T) {
 	if _, err := c.Report(context.Background(), []localdb.Record{blockedRec("x.example/", 100, localdb.BlockDNS, "")}); err != nil {
 		t.Fatal(err)
 	}
-	srv.Revoke(c.UUID())
+	if err := srv.Revoke(c.UUID()); err != nil {
+		t.Fatal(err)
+	}
 	entries, err := c.FetchBlocked(context.Background(), 100)
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +338,9 @@ func TestConditionalFetchRevocationInvalidates(t *testing.T) {
 	}
 	// Revocation bumps the epoch: the cached tag must stop validating even
 	// though the AS index version did not move.
-	srv.Revoke(c.UUID())
+	if err := srv.Revoke(c.UUID()); err != nil {
+		t.Fatal(err)
+	}
 	entries, err := c.FetchBlocked(context.Background(), 100)
 	if err != nil {
 		t.Fatal(err)
@@ -348,5 +355,39 @@ func TestWireRoundTrip(t *testing.T) {
 	back := FromWire(ToWire(stages))
 	if len(back) != 2 || back[0] != stages[0] || back[1] != stages[1] {
 		t.Fatalf("round trip = %+v", back)
+	}
+}
+
+// TestQueryParam pins query parsing for every parameter the server reads:
+// only the part after '?' is searched, names match whole (so "xasn" never
+// answers for "asn"), and the lookup allocates nothing.
+func TestQueryParam(t *testing.T) {
+	cases := []struct {
+		target, key, want string
+	}{
+		{"/v1/blocked?asn=100", "asn", "100"},
+		{"/v1/blocked?xasn=7&asn=100", "asn", "100"},
+		{"/v1/blocked?asn=100&xasn=7", "asn", "100"},
+		{"/v1/blocked?xasn=7", "asn", ""},
+		{"/v1/blocked?asn=", "asn", ""},
+		{"/v1/blocked?asn", "asn", ""},
+		{"/v1/blocked", "asn", ""},
+		{"/v1/asn=5", "asn", ""},
+		{"/v1/repl?from=12&max=4096&follower=replica-0", "from", "12"},
+		{"/v1/repl?from=12&max=4096&follower=replica-0", "max", "4096"},
+		{"/v1/repl?from=12&max=4096&follower=replica-0", "follower", "replica-0"},
+		{"/v1/repl?xfrom=9&from=3", "from", "3"},
+		{"/v1/repl?from=3&max=", "max", ""},
+		{"/v1/repl?from=3&follower=", "follower", ""},
+		{"/v1/repl?maxi=9&max=8", "max", "8"},
+		{"/v1/repl?from=3&&max=8", "max", "8"},
+	}
+	for _, c := range cases {
+		if got := queryParam(c.target, c.key); got != c.want {
+			t.Errorf("queryParam(%q, %q) = %q, want %q", c.target, c.key, got, c.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { queryParam("/v1/blocked?xasn=7&asn=100", "asn") }); n != 0 {
+		t.Errorf("queryParam allocates %.0f times per call", n)
 	}
 }

@@ -1,14 +1,16 @@
 // Package replica implements asynchronous replication for the global DB
 // (§5: blocking access to the global_DB is countered by moving it — here,
-// by running several of it). A primary built with
-// globaldb.StoreOptions{Replicated: true} streams its write-ahead log
-// through an in-memory feed; each Follower runs its own globaldb.Server on
-// another emulated host and pulls framed WAL records over plain HTTP
-// (GET /v1/repl), applying them in order. Because the log records mutation
-// requests and both sides apply them through the same store paths, a
-// caught-up follower converges to the primary's exact state — including
-// the validator tags behind conditional fetches, so a client failing over
-// mid-sync keeps its delta chain.
+// by running several of it). A primary built by globaldb.NewServer with
+// StoreOptions{Replicated: true} streams every mutation record through an
+// in-memory feed, after its write-ahead log when it has a Dir; each
+// Follower runs its own globaldb.Server on another emulated host and pulls
+// framed WAL records over plain HTTP (GET /v1/repl), applying them in
+// order. A plain follower's server can be in-memory; a promotable one needs
+// a feed (and a Dir, to survive restarts) so it can serve the stream once
+// it leads. Because the records are mutation requests and both sides apply
+// them through the same store paths, a caught-up follower converges to the
+// primary's exact state — including the validator tags behind conditional
+// fetches, so a client failing over mid-sync keeps its delta chain.
 //
 // Replication is pull-based and carries the follower's acknowledgement for
 // free: pulling from sequence N acks everything below N, and the primary's

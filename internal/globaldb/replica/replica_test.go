@@ -35,7 +35,7 @@ func newReplWorld(t *testing.T) *replWorld {
 		n.SetRTT(pair[0], pair[1], 100*time.Millisecond)
 	}
 
-	primary, err := globaldb.NewDurableServer(clock, nil, globaldb.StoreOptions{Replicated: true})
+	primary, err := globaldb.NewServer(clock, nil, globaldb.StoreOptions{Replicated: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,9 +47,13 @@ func newReplWorld(t *testing.T) *replWorld {
 	followers := make([]*Follower, 2)
 	for i := range followers {
 		host := n.MustAddHost(fmt.Sprintf("gdb-replica-%d", i), fmt.Sprintf("40.0.1.%d", i+1), regions[i], cloud)
+		srv, err := globaldb.NewServer(clock, nil, globaldb.StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		f := &Follower{
 			Name:        fmt.Sprintf("replica-%d", i),
-			Server:      globaldb.NewServer(clock, nil),
+			Server:      srv,
 			PrimaryAddr: "40.0.0.1:80",
 			PrimaryHost: "globaldb.example",
 			Dial:        host.Dial,

@@ -79,8 +79,8 @@ func reportsFromStorage(rs []storage.Report) []Report {
 // exportState snapshots the full store. Users, their reports, and AS
 // versions are emitted in sorted order so the snapshot is a deterministic
 // function of store contents. Safe to call concurrently with reads; the
-// durable store serializes it against writes.
-func (s *shardedStore) exportState() *storage.State {
+// store serializes it against writes.
+func (s *shardedState) exportState() *storage.State {
 	st := &storage.State{Updates: s.updates.Load(), RevEpoch: s.revEpoch.Load()}
 	type user struct {
 		uuid string
@@ -129,8 +129,8 @@ func (s *shardedStore) exportState() *storage.State {
 // newShardedFromState rebuilds a store from a snapshot. Single-threaded
 // (runs before the server is attached), so it can fill client state and the
 // AS indexes without the ingest path's two-phase locking.
-func newShardedFromState(st *storage.State) *shardedStore {
-	s := newShardedStore()
+func newShardedFromState(st *storage.State) *shardedState {
+	s := newShardedState()
 	s.updates.Store(st.Updates)
 	s.revEpoch.Store(st.RevEpoch)
 	for _, us := range st.Users {

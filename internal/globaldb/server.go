@@ -2,6 +2,7 @@ package globaldb
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"strconv"
@@ -29,16 +30,16 @@ func DefaultCaptcha(token string) bool { return strings.HasPrefix(token, "human-
 // server's second line against fake-account floods.
 const RegistrationRateLimit = 5
 
-// Server is the global_DB + server_DB. Measurement state lives behind the
-// store interface (sharded by default; see sharded.go); the Server itself
-// keeps only the HTTP surface and the registration rate limiter.
+// Server is the global_DB + server_DB. Measurement state lives in the
+// store (sharded in memory, optionally logged and streamed; see store.go);
+// the Server itself keeps only the HTTP surface, the registration rate
+// limiter and the fence hint.
 type Server struct {
 	clock   *vtime.Clock
 	captcha CaptchaVerifier
 	faults  FaultPolicy
-	store   store
-	durable *durableStore // non-nil when built by NewDurableServer
-	terms   termState     // promotion term + fencing state (see term.go)
+	store   *store
+	fence   fenceHint // write-rejecting redirect state (see term.go)
 
 	mu           sync.Mutex // guards the registration state below
 	uuidSeq      uint64
@@ -46,69 +47,37 @@ type Server struct {
 	lastRegSweep time.Time
 }
 
-// NewServer creates a server. A nil verifier selects DefaultCaptcha.
-func NewServer(clock *vtime.Clock, captcha CaptchaVerifier) *Server {
-	return newServerWith(clock, captcha, newShardedStore(), nil)
-}
-
-// NewDurableServer creates a server whose store write-ahead-logs every
-// mutation under o.Dir (see StoreOptions): kill it at any point and a new
-// NewDurableServer over the same directory recovers the exact state —
-// byte-identical /v1/blocked bodies and the same validator tags. With
-// o.Replicated it also serves the replication feed on PathRepl for
-// followers (see the replica package).
-func NewDurableServer(clock *vtime.Clock, captcha CaptchaVerifier, o StoreOptions) (*Server, error) {
-	d, err := newDurableStore(o)
+// NewServer creates a server on the store o describes. A nil verifier
+// selects DefaultCaptcha. With o.Dir every mutation is write-ahead logged:
+// kill the server at any point and a new NewServer over the same directory
+// recovers the exact state — byte-identical /v1/blocked bodies and the same
+// validator tags. With o.Replicated it also serves the replication feed on
+// PathRepl for followers (see the replica package). The error is always nil
+// without a Dir.
+func NewServer(clock *vtime.Clock, captcha CaptchaVerifier, o StoreOptions) (*Server, error) {
+	st, err := newStore(o)
 	if err != nil {
 		return nil, err
 	}
-	return newServerWith(clock, captcha, d, d), nil
-}
-
-func newServerWith(clock *vtime.Clock, captcha CaptchaVerifier, st store, d *durableStore) *Server {
 	if captcha == nil {
 		captcha = DefaultCaptcha
 	}
-	s := &Server{
+	return &Server{
 		clock:        clock,
 		captcha:      captcha,
 		store:        st,
-		durable:      d,
 		regByIP:      make(map[string][]time.Time),
 		lastRegSweep: clock.Now(),
-	}
-	if d != nil {
-		// Re-derive the term view from the recovered record stream. The node
-		// restarts unfenced; if leadership moved on while it was down, the
-		// replica controller's reconciliation will fence it.
-		s.terms.term, s.terms.leader, s.terms.base = d.termState()
-	}
-	return s
+	}, nil
 }
 
-// Close flushes and closes the durable backend (no-op for in-memory
-// servers), returning any latched durability error.
-func (s *Server) Close() error {
-	if s.durable == nil {
-		return nil
-	}
-	return s.durable.close()
-}
+// Close flushes and closes the write-ahead log (no-op without one),
+// returning any latched durability error.
+func (s *Server) Close() error { return s.store.close() }
 
 // ReplicationFeed returns the replication stream when the server was built
 // with StoreOptions.Replicated, else nil.
-func (s *Server) ReplicationFeed() *storage.Feed {
-	if s.durable == nil {
-		return nil
-	}
-	return s.durable.feed
-}
-
-// Apply replays one replicated record through the store. Followers call
-// this for every record pulled from the primary; applying the primary's
-// log in order converges the follower to the primary's exact state,
-// including validator tags.
-func (s *Server) Apply(rec *storage.Record) { applyRecord(s.store, rec) }
+func (s *Server) ReplicationFeed() *storage.Feed { return s.store.feed }
 
 // Faults exposes the server's fault-injection policy (experiments flip it
 // at runtime to model outages and flaky paths).
@@ -200,10 +169,9 @@ func (s *Server) handleRegister(req *httpx.Request, flow netem.Flow) *httpx.Resp
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%d", now.UnixNano(), seq)
 	uuid := fmt.Sprintf("%016x", h.Sum64())
-	s.store.addUser(uuid)
-	if s.strictUnavailable() {
-		// Strict durability rejected the addUser: the UUID was never stored,
-		// so acking it would hand the client a dead identity.
+	if err := s.store.addUser(uuid); err != nil {
+		// The UUID was never stored: acking it would hand the client a dead
+		// identity.
 		return httpx.NewResponse(503, []byte("durability lost"))
 	}
 	return jsonResponse(200, RegisterResponse{UUID: uuid})
@@ -244,27 +212,30 @@ func (s *Server) handleReport(req *httpx.Request) *httpx.Response {
 	if err := json.Unmarshal(req.Body, &body); err != nil {
 		return httpx.NewResponse(400, []byte("bad json"))
 	}
-	accepted, ok := s.store.ingest(body.UUID, s.clock.Now(), body.Reports)
-	if !ok {
-		if s.strictUnavailable() {
-			return httpx.NewResponse(503, []byte("durability lost"))
-		}
+	accepted, err := s.store.ingest(body.UUID, s.clock.Now(), body.Reports)
+	switch {
+	case errors.Is(err, errNotDurable):
+		return httpx.NewResponse(503, []byte("durability lost"))
+	case err != nil:
 		return httpx.NewResponse(403, []byte("unknown or revoked uuid"))
 	}
 	return jsonResponse(200, ReportResponse{Accepted: accepted})
 }
 
-// queryParam extracts one query parameter from a request target, or "".
+// queryParam returns the value of the query parameter named key in a
+// request target, or "" when the target has no query or no such parameter.
+// Only the part after '?' is searched and names match whole, so
+// "?xasn=7&asn=100" yields "100" for asn.
 func queryParam(target, key string) string {
-	i := strings.Index(target, key+"=")
-	if i < 0 {
-		return ""
+	_, q, ok := strings.Cut(target, "?")
+	for ok {
+		var kv string
+		kv, q, ok = strings.Cut(q, "&")
+		if k, v, _ := strings.Cut(kv, "="); k == key {
+			return v
+		}
 	}
-	v := target[i+len(key)+1:]
-	if j := strings.IndexByte(v, '&'); j >= 0 {
-		v = v[:j]
-	}
-	return v
+	return ""
 }
 
 func (s *Server) handleFetch(req *httpx.Request) *httpx.Response {
@@ -340,7 +311,8 @@ func (s *Server) handleRepl(req *httpx.Request) *httpx.Response {
 func (s *Server) BlockedForAS(asn int) []Entry { return s.store.blockedForAS(asn) }
 
 // Revoke invalidates a UUID (§5: revoking identified malicious users [54]).
-func (s *Server) Revoke(uuid string) { s.store.revoke(uuid) }
+// It fails, unapplied, when the revocation cannot be logged.
+func (s *Server) Revoke(uuid string) error { return s.store.revoke(uuid) }
 
 // StatsSnapshot aggregates the Table-7 numbers from current state.
 func (s *Server) StatsSnapshot() Stats { return s.store.stats() }
@@ -349,11 +321,7 @@ func (s *Server) StatsSnapshot() Stats { return s.store.stats() }
 // default of 64. Population-scale drivers size it to the fleet so a
 // client's tag from one sync round is still in the history a round later,
 // keeping the converging phase on the delta path instead of full fetches.
-func (s *Server) SetDeltaHistory(n int) {
-	if t, ok := s.store.(interface{ setDeltaHistory(int) }); ok {
-		t.setDeltaHistory(n)
-	}
-}
+func (s *Server) SetDeltaHistory(n int) { s.store.state().setDeltaHistory(n) }
 
 // primaryClass maps stage lists to the Table-7 reporting classes. DNS
 // evidence anywhere in the stages classifies the URL as DNS blocking —

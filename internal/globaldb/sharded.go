@@ -17,8 +17,8 @@ import (
 // overhead at pilot scale.
 const numShards = 16
 
-// shardedStore is the fleet-scale store. Design (see DESIGN.md "scale
-// architecture"):
+// shardedState is the store's in-memory aggregation state. Design (see
+// DESIGN.md "scale architecture"):
 //
 //   - User state is sharded by uuid hash. Each client's reports live in its
 //     clientState; the report count d and the revoked flag are atomics so the
@@ -39,7 +39,7 @@ const numShards = 16
 // lock. The uuid-side and AS-side locks are never held together; ingest
 // releases the clientState before touching the index, relying on report
 // records being immutable-and-replaced.
-type shardedStore struct {
+type shardedState struct {
 	users    [numShards]uuidShard
 	index    [numShards]asShard
 	updates  atomic.Int64 // unique (uuid, url|asn) keys ever accepted
@@ -49,7 +49,7 @@ type shardedStore struct {
 }
 
 // setDeltaHistory raises (or lowers) the per-AS delta edit-history cap.
-func (s *shardedStore) setDeltaHistory(n int) { s.histMax.Store(int64(n)) }
+func (s *shardedState) setDeltaHistory(n int) { s.histMax.Store(int64(n)) }
 
 type uuidShard struct {
 	mu sync.RWMutex
@@ -100,8 +100,8 @@ type indexed struct {
 	cs  *clientState
 }
 
-func newShardedStore() *shardedStore {
-	s := &shardedStore{}
+func newShardedState() *shardedState {
+	s := &shardedState{}
 	for i := range s.users {
 		s.users[i].m = make(map[string]*clientState)
 	}
@@ -111,13 +111,13 @@ func newShardedStore() *shardedStore {
 	return s
 }
 
-func (s *shardedStore) uuidShard(uuid string) *uuidShard {
+func (s *shardedState) uuidShard(uuid string) *uuidShard {
 	h := fnv.New32a()
 	h.Write([]byte(uuid))
 	return &s.users[h.Sum32()%numShards]
 }
 
-func (s *shardedStore) lookupClient(uuid string) *clientState {
+func (s *shardedState) lookupClient(uuid string) *clientState {
 	sh := s.uuidShard(uuid)
 	sh.mu.RLock()
 	cs := sh.m[uuid]
@@ -125,7 +125,7 @@ func (s *shardedStore) lookupClient(uuid string) *clientState {
 	return cs
 }
 
-func (s *shardedStore) addUser(uuid string) {
+func (s *shardedState) addUser(uuid string) {
 	sh := s.uuidShard(uuid)
 	sh.mu.Lock()
 	if sh.m[uuid] == nil {
@@ -138,7 +138,7 @@ func (s *shardedStore) addUser(uuid string) {
 }
 
 // asIndexFor returns the index for asn, creating it when create is set.
-func (s *shardedStore) asIndexFor(asn int, create bool) *asIndex {
+func (s *shardedState) asIndexFor(asn int, create bool) *asIndex {
 	sh := &s.index[asn%numShards]
 	sh.mu.RLock()
 	idx := sh.m[asn]
@@ -155,7 +155,7 @@ func (s *shardedStore) asIndexFor(asn int, create bool) *asIndex {
 	return idx
 }
 
-func (s *shardedStore) ingest(uuid string, now time.Time, reports []Report) (int, bool) {
+func (s *shardedState) ingest(uuid string, now time.Time, reports []Report) (int, bool) {
 	cs := s.lookupClient(uuid)
 	if cs == nil || cs.revoked.Load() {
 		return 0, false
@@ -234,14 +234,14 @@ func (s *shardedStore) ingest(uuid string, now time.Time, reports []Report) (int
 	return accepted, true
 }
 
-func (s *shardedStore) blockedForAS(asn int) []Entry {
+func (s *shardedState) blockedForAS(asn int) []Entry {
 	entries, _, _ := s.snapshot(asn)
 	out := make([]Entry, len(entries))
 	copy(out, entries)
 	return out
 }
 
-func (s *shardedStore) fetchResponse(asn int, inm string) fetchResult {
+func (s *shardedState) fetchResponse(asn int, inm string) fetchResult {
 	rev := s.revEpoch.Load()
 	idx := s.asIndexFor(asn, false)
 	if idx == nil {
@@ -273,7 +273,7 @@ func (s *shardedStore) fetchResponse(asn int, inm string) fetchResult {
 // write or revocation moved the AS's version since the last build, plus the
 // validator tag naming the (version, revocation-epoch) pair the snapshot was
 // built at. The returned slice and body are shared and must not be mutated.
-func (s *shardedStore) snapshot(asn int) ([]Entry, []byte, string) {
+func (s *shardedState) snapshot(asn int) ([]Entry, []byte, string) {
 	rev := s.revEpoch.Load()
 	idx := s.asIndexFor(asn, false)
 	if idx == nil {
@@ -292,7 +292,7 @@ func (s *shardedStore) snapshot(asn int) ([]Entry, []byte, string) {
 // rebuildLocked brings idx's snapshot cache up to (ver, rev), recording the
 // change set against the previous snapshot in the delta history. No-op when
 // the cache is already at that state. Caller holds idx.snapMu.
-func (s *shardedStore) rebuildLocked(idx *asIndex, ver, rev int64) {
+func (s *shardedState) rebuildLocked(idx *asIndex, ver, rev int64) {
 	if idx.valid && idx.snapVer == ver && idx.snapRev == rev {
 		return
 	}
@@ -321,7 +321,7 @@ func snapTag(ver, rev int64) string {
 // byte-identical blocked lists: URLs are sorted, vote contributions are
 // summed in sorted order (float addition is not associative), and the
 // representative-stages tie between equal post times breaks on uuid.
-func (s *shardedStore) aggregate(idx *asIndex) []Entry {
+func (s *shardedState) aggregate(idx *asIndex) []Entry {
 	idx.mu.RLock()
 	defer idx.mu.RUnlock()
 	urls := make([]string, 0, len(idx.byURL))
@@ -366,15 +366,14 @@ func (s *shardedStore) aggregate(idx *asIndex) []Entry {
 }
 
 // emptyFetchBody is the no-entries body. Entries is an empty slice, not
-// nil, so the bytes match what the legacy store serves for the same AS
-// ("entries":[]) — the store conformance suite compares bodies across
-// backends byte-for-byte.
+// nil, so an AS that never had reports serves the same bytes
+// ("entries":[]) as one whose reports were all revoked.
 func emptyFetchBody(asn int) []byte {
 	b, _ := json.Marshal(FetchResponse{ASN: asn, Entries: []Entry{}})
 	return b
 }
 
-func (s *shardedStore) revoke(uuid string) {
+func (s *shardedState) revoke(uuid string) {
 	if cs := s.lookupClient(uuid); cs != nil {
 		cs.revoked.Store(true)
 	}
@@ -383,7 +382,7 @@ func (s *shardedStore) revoke(uuid string) {
 	s.revEpoch.Add(1)
 }
 
-func (s *shardedStore) stats() Stats {
+func (s *shardedState) stats() Stats {
 	st := Stats{ByType: make(map[string]int)}
 	urls := make(map[string]bool)
 	domains := make(map[string]bool)
@@ -419,7 +418,14 @@ func (s *shardedStore) stats() Stats {
 			}
 			sort.Strings(keys)
 			for _, k := range keys {
-				statsFold(cs.reports[k], urls, domains, ases, types, urlType)
+				r := cs.reports[k]
+				urls[r.url] = true
+				host, _ := localdb.SplitURL(r.url)
+				domains[host] = true
+				ases[r.asn] = true
+				cls := primaryClass(r.stages)
+				types[cls] = true
+				urlType[r.url] = cls
 			}
 			cs.mu.Unlock()
 		}
@@ -433,17 +439,4 @@ func (s *shardedStore) stats() Stats {
 	st.BlockTypes = len(types)
 	st.Updates = int(s.updates.Load())
 	return st
-}
-
-// statsFold folds one report into the StatsSnapshot accumulators (shared with
-// legacyStore).
-func statsFold(r *clientReport, urls, domains map[string]bool, ases map[int]bool,
-	types map[string]bool, urlType map[string]string) {
-	urls[r.url] = true
-	host, _ := localdb.SplitURL(r.url)
-	domains[host] = true
-	ases[r.asn] = true
-	cls := primaryClass(r.stages)
-	types[cls] = true
-	urlType[r.url] = cls
 }

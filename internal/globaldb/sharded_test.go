@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -27,7 +29,7 @@ func mkReports(rng *rand.Rand, n, ases int) []Report {
 // repeated BlockedForAS reads of an unchanged AS must serve the cached sorted
 // snapshot, not re-aggregate and re-sort per call (the seed behavior).
 func TestSnapshotCacheNoRebuildOnRepeatedReads(t *testing.T) {
-	s := newShardedStore()
+	s := newShardedState()
 	s.addUser("u1")
 	if _, ok := s.ingest("u1", t0, []Report{
 		{URL: "a.example/", ASN: 100, Tm: t0},
@@ -74,59 +76,145 @@ func TestSnapshotCacheNoRebuildOnRepeatedReads(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesLegacy drives an identical randomized workload into both
-// stores and requires the same aggregation: entries, order, votes (up to
-// float summation order), reporters, and stats.
-func TestShardedMatchesLegacy(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	leg, sh := newLegacyStore(), newShardedStore()
-	const users, ases = 30, 4
-	for u := 0; u < users; u++ {
-		id := fmt.Sprintf("user-%02d", u)
-		leg.addUser(id)
-		sh.addUser(id)
-	}
-	for round := 0; round < 20; round++ {
-		u := fmt.Sprintf("user-%02d", rng.Intn(users))
-		batch := mkReports(rng, 1+rng.Intn(6), ases)
-		now := t0.Add(time.Duration(round) * time.Minute)
-		a1, ok1 := leg.ingest(u, now, batch)
-		a2, ok2 := sh.ingest(u, now, batch)
-		if a1 != a2 || ok1 != ok2 {
-			t.Fatalf("round %d: ingest diverged (%d,%v) vs (%d,%v)", round, a1, ok1, a2, ok2)
-		}
-	}
-	leg.revoke("user-03")
-	sh.revoke("user-03")
+// oracle applies the paper's §5 aggregation straight to an input log: a
+// report replaces the same client's earlier (url, asn) report (dedup), each
+// client spreads one vote over its d distinct keys, and per (url, asn)
+// s_jk = Σ 1/d_i and n_jk count the non-revoked reporters. Batches from
+// unknown or revoked clients are rejected whole.
+type oracle struct {
+	users   map[string]bool
+	revoked map[string]bool
+	keys    map[string]map[string]time.Time // uuid → "url|asn" → post time
+	updates int
+}
 
-	for asn := 100; asn < 100+ases; asn++ {
-		le, se := leg.blockedForAS(asn), sh.blockedForAS(asn)
-		if len(le) != len(se) {
-			t.Fatalf("asn %d: %d vs %d entries", asn, len(le), len(se))
+func newOracle() *oracle {
+	return &oracle{users: map[string]bool{}, revoked: map[string]bool{}, keys: map[string]map[string]time.Time{}}
+}
+
+func (o *oracle) ingest(uuid string, now time.Time, batch []Report) bool {
+	if !o.users[uuid] || o.revoked[uuid] {
+		return false
+	}
+	if o.keys[uuid] == nil {
+		o.keys[uuid] = map[string]time.Time{}
+	}
+	for _, r := range batch {
+		if r.URL == "" || r.ASN == 0 {
+			continue
 		}
-		for i := range le {
-			l, s := le[i], se[i]
-			if l.URL != s.URL || l.Reporters != s.Reporters || !l.LastTp.Equal(s.LastTp) {
-				t.Fatalf("asn %d entry %d: %+v vs %+v", asn, i, l, s)
+		key := fmt.Sprintf("%s|%d", r.URL, r.ASN)
+		if _, seen := o.keys[uuid][key]; !seen {
+			o.updates++
+		}
+		o.keys[uuid][key] = now
+	}
+	return true
+}
+
+func (o *oracle) blocked(asn int) []Entry {
+	byURL := map[string]*Entry{}
+	for uuid, keys := range o.keys {
+		if o.revoked[uuid] {
+			continue
+		}
+		for key, tp := range keys {
+			url, a, _ := strings.Cut(key, "|")
+			if a != fmt.Sprint(asn) {
+				continue
 			}
-			if math.Abs(l.Votes-s.Votes) > 1e-9 {
-				t.Fatalf("asn %d %s: votes %v vs %v", asn, l.URL, l.Votes, s.Votes)
+			e := byURL[url]
+			if e == nil {
+				e = &Entry{URL: url, ASN: asn}
+				byURL[url] = e
+			}
+			e.Votes += 1 / float64(len(keys))
+			e.Reporters++
+			if tp.After(e.LastTp) {
+				e.LastTp = tp
 			}
 		}
 	}
+	out := make([]Entry, 0, len(byURL))
+	for _, e := range byURL {
+		out = append(out, *e)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
+	return out
+}
 
-	ls, ss := leg.stats(), sh.stats()
-	if ls.Users != ss.Users || ls.BlockedURLs != ss.BlockedURLs ||
-		ls.BlockedDomains != ss.BlockedDomains || ls.ASes != ss.ASes ||
-		ls.Updates != ss.Updates {
-		t.Fatalf("stats diverged: %+v vs %+v", ls, ss)
+// TestStoreMatchesOracle drives a randomized workload — with a revocation
+// mid-way, so later batches from the revoked client are rejected — into
+// every store configuration and requires the oracle's aggregation: entries,
+// order, votes (up to float summation order), reporters, post times, and
+// the user/URL/AS/updates stats.
+func TestStoreMatchesOracle(t *testing.T) {
+	for _, f := range storeFactories() {
+		t.Run(f.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(42))
+			s, o := f.mk(t), newOracle()
+			const users, ases = 30, 4
+			for u := 0; u < users; u++ {
+				id := fmt.Sprintf("user-%02d", u)
+				mustAddUser(t, s, id)
+				o.users[id] = true
+			}
+			for round := 0; round < 30; round++ {
+				if round == 15 {
+					mustRevoke(t, s, "user-03")
+					o.revoked["user-03"] = true
+				}
+				u := fmt.Sprintf("user-%02d", rng.Intn(users))
+				if round%10 == 9 {
+					u = "user-03"
+				}
+				batch := mkReports(rng, 1+rng.Intn(6), ases)
+				now := t0.Add(time.Duration(round) * time.Minute)
+				_, err := s.ingest(u, now, batch)
+				if want := o.ingest(u, now, batch); (err == nil) != want {
+					t.Fatalf("round %d: ingest by %s: err %v, oracle accepts %v", round, u, err, want)
+				}
+			}
+
+			for asn := 100; asn < 100+ases; asn++ {
+				got, want := s.blockedForAS(asn), o.blocked(asn)
+				if len(got) != len(want) {
+					t.Fatalf("asn %d: %d entries, oracle %d", asn, len(got), len(want))
+				}
+				for i := range want {
+					g, w := got[i], want[i]
+					if g.URL != w.URL || g.Reporters != w.Reporters || !g.LastTp.Equal(w.LastTp) {
+						t.Fatalf("asn %d entry %d: %+v, oracle %+v", asn, i, g, w)
+					}
+					if math.Abs(g.Votes-w.Votes) > 1e-9 {
+						t.Fatalf("asn %d %s: votes %v, oracle %v", asn, g.URL, g.Votes, w.Votes)
+					}
+				}
+			}
+
+			urls, asns := map[string]bool{}, map[string]bool{}
+			for uuid, keys := range o.keys {
+				if o.revoked[uuid] {
+					continue
+				}
+				for key := range keys {
+					url, asn, _ := strings.Cut(key, "|")
+					urls[url], asns[asn] = true, true
+				}
+			}
+			st := s.stats()
+			if st.Users != users || st.BlockedURLs != len(urls) || st.ASes != len(asns) || st.Updates != o.updates {
+				t.Fatalf("stats %+v, oracle users=%d urls=%d ases=%d updates=%d",
+					st, users, len(urls), len(asns), o.updates)
+			}
+		})
 	}
 }
 
 // TestShardedRevokeInvalidates: a revocation must drop the client's votes
 // from already-cached snapshots.
 func TestShardedRevokeInvalidates(t *testing.T) {
-	s := newShardedStore()
+	s := newShardedState()
 	s.addUser("good")
 	s.addUser("bad")
 	s.ingest("good", t0, []Report{{URL: "a.example/", ASN: 100, Tm: t0}})
@@ -146,7 +234,7 @@ func TestShardedRevokeInvalidates(t *testing.T) {
 // TestShardedUpdatesDedup: the updates counter counts unique (uuid, url|asn)
 // keys, so ack-lost re-posts cannot inflate it.
 func TestShardedUpdatesDedup(t *testing.T) {
-	s := newShardedStore()
+	s := newShardedState()
 	s.addUser("u1")
 	batch := []Report{
 		{URL: "a.example/", ASN: 100, Tm: t0},

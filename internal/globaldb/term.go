@@ -27,16 +27,14 @@ import (
 //     replica controller's reconciliation to fence it again if the world
 //     moved on. A fence hint must not touch the lineage, or a follower
 //     pointed at a new leader would claim a history it never pulled.
-type termState struct {
+//
+// Lineage lives in the store, next to the stream it describes; the Server
+// holds only the fence hint.
+type fenceHint struct {
 	mu     sync.Mutex
+	fenced bool
 	term   int64
-	leader string // client-facing address of term's leader
-	base   uint64 // feed position of the term's KindTerm record
-	marks  []TermMark
-
-	fenced      bool
-	fenceTerm   int64
-	fenceLeader string
+	leader string
 }
 
 // TermMark is one leadership change in a stream: from position Base onward
@@ -53,12 +51,10 @@ type TermMark struct {
 // position of its term record. Term zero with an empty leader is the
 // implicit founding lineage of a stream that predates any promotion.
 func (s *Server) TermState() (term int64, leader string, base uint64) {
-	if s.durable != nil {
-		return s.durable.termState()
-	}
-	s.terms.mu.Lock()
-	defer s.terms.mu.Unlock()
-	return s.terms.term, s.terms.leader, s.terms.base
+	st := s.store
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.term, st.leader, st.base
 }
 
 // TermAt returns the lineage in effect for the stream prefix [0, pos): the
@@ -68,12 +64,10 @@ func (s *Server) TermState() (term int64, leader string, base uint64) {
 // mismatch is a fork. Only meaningful on stores that keep their full
 // history (promotion worlds disable compaction).
 func (s *Server) TermAt(pos uint64) (term int64, leader string) {
-	if s.durable != nil {
-		return s.durable.termAt(pos)
-	}
-	s.terms.mu.Lock()
-	defer s.terms.mu.Unlock()
-	for _, m := range s.terms.marks {
+	st := s.store
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, m := range st.marks {
 		if m.Base >= pos {
 			break
 		}
@@ -82,11 +76,22 @@ func (s *Server) TermAt(pos uint64) (term int64, leader string) {
 	return term, leader
 }
 
+// markTermLocked records a term record landing at stream position base,
+// when it names a newer term than any seen. Caller holds s.mu (or owns the
+// store exclusively, as recovery does).
+func (s *store) markTermLocked(term int64, leader string, base uint64) {
+	if term <= s.term {
+		return
+	}
+	s.term, s.leader, s.base = term, leader, base
+	s.marks = append(s.marks, TermMark{Term: term, Leader: leader, Base: base})
+}
+
 // Fenced reports whether the server is currently rejecting writes.
 func (s *Server) Fenced() bool {
-	s.terms.mu.Lock()
-	defer s.terms.mu.Unlock()
-	return s.terms.fenced
+	s.fence.mu.Lock()
+	defer s.fence.mu.Unlock()
+	return s.fence.fenced
 }
 
 // Fence puts the server in write-rejecting mode, directing writers at
@@ -94,117 +99,79 @@ func (s *Server) Fenced() bool {
 // stream says. The hinted term ratchets up so a late, stale fence cannot
 // downgrade the redirect target.
 func (s *Server) Fence(term int64, leader string) {
-	s.terms.mu.Lock()
-	defer s.terms.mu.Unlock()
-	s.terms.fenced = true
-	if term > s.terms.fenceTerm {
-		s.terms.fenceTerm, s.terms.fenceLeader = term, leader
-	} else if term == s.terms.fenceTerm && leader != "" {
-		s.terms.fenceLeader = leader
+	s.fence.mu.Lock()
+	defer s.fence.mu.Unlock()
+	s.fence.fenced = true
+	if term > s.fence.term {
+		s.fence.term, s.fence.leader = term, leader
+	} else if term == s.fence.term && leader != "" {
+		s.fence.leader = leader
 	}
 }
 
 // StartTerm makes this server the writer for term, led from leader (its own
 // client-facing address): the term is persisted as a KindTerm record
-// through the normal durable path, the fence lifts, and the term's base is
-// recorded. Only a promotion (or the initial wiring of a world) calls this.
+// through the normal recorded path, its base noted in the lineage, and the
+// fence lifts. Only a promotion (or the initial wiring of a world) calls
+// this.
 func (s *Server) StartTerm(term int64, leader string) error {
+	if err := s.store.startTerm(term, leader); err != nil {
+		return err
+	}
+	s.fence.mu.Lock()
+	s.fence.fenced = false
+	s.fence.mu.Unlock()
+	return nil
+}
+
+// startTerm appends a term record announcing leader as the writer for term
+// through the same recorded path as any mutation, and makes it the lineage.
+func (s *store) startTerm(term int64, leader string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var base uint64
-	if s.durable != nil {
-		b, err := s.durable.startTerm(term, leader)
-		if err != nil {
-			return err
-		}
-		base = b
+	if s.feed != nil {
+		base = s.feed.Head() // the record's own sequence number
 	}
-	s.terms.mu.Lock()
-	defer s.terms.mu.Unlock()
-	if term >= s.terms.term {
-		s.terms.term, s.terms.leader, s.terms.base = term, leader, base
-		s.terms.marks = append(s.terms.marks, TermMark{Term: term, Leader: leader, Base: base})
+	if err := s.recordLocked(&storage.Record{Kind: storage.KindTerm, UUID: leader, Now: term}); err != nil {
+		return err
 	}
-	s.terms.fenced = false
+	s.markTermLocked(term, leader, base)
+	s.maybeCompactLocked()
 	return nil
 }
 
 // Absorb logs, streams, and applies one replicated record exactly as
 // received, so a follower's WAL and feed mirror its leader's stream frame
-// for frame. For in-memory servers it degrades to Apply plus term tracking.
-// An error means the record is not durable and must not be acknowledged.
-func (s *Server) Absorb(rec *storage.Record) error {
-	if s.durable != nil {
-		return s.durable.absorb(rec) // lineage tracked by the durable layer
-	}
-	applyRecord(s.store, rec)
-	if rec.Kind == storage.KindTerm {
-		s.terms.mu.Lock()
-		if rec.Now > s.terms.term {
-			s.terms.term, s.terms.leader = rec.Now, rec.UUID
-			s.terms.marks = append(s.terms.marks, TermMark{Term: rec.Now, Leader: rec.UUID, Base: s.terms.base})
-		}
-		s.terms.mu.Unlock()
-	}
-	return nil
-}
+// for frame. An error means the record is not durable and must not be
+// acknowledged.
+func (s *Server) Absorb(rec *storage.Record) error { return s.store.absorb(rec) }
 
 // ResetForResync wipes the server's entire measurement state — WAL,
-// snapshot, feed, in-memory aggregates, latched durability errors — so the
-// node can replay a new leader's stream from sequence zero. The caller is
-// responsible for having pushed any unreplicated suffix to the leader
-// first; this method destroys it.
-func (s *Server) ResetForResync() error {
-	if s.durable != nil {
-		// s.store stays pointed at the durable wrapper — it swapped its own
-		// inner store. Rebinding to the bare store here would silently route
-		// every later mutation around the WAL, the feed, and strict mode.
-		if err := s.durable.reset(); err != nil {
-			return err
-		}
-	} else {
-		s.store = newShardedStore()
-	}
-	// The stream is empty again: lineage reverts to the founding state (the
-	// next pull re-derives it from the new leader's term records). Fencing
-	// is untouched — a resyncing node stays fenced toward its new leader.
-	s.terms.mu.Lock()
-	s.terms.term, s.terms.leader, s.terms.base = 0, "", 0
-	s.terms.marks = nil
-	s.terms.mu.Unlock()
-	return nil
-}
+// snapshot, feed, in-memory aggregates, lineage, latched durability errors
+// — so the node can replay a new leader's stream from sequence zero (the
+// next pull re-derives the lineage from the new leader's term records).
+// Fencing is untouched: a resyncing node stays fenced toward its new
+// leader. The caller is responsible for having pushed any unreplicated
+// suffix to the leader first; this method destroys it.
+func (s *Server) ResetForResync() error { return s.store.reset() }
 
-// DurabilityErr returns the latched WAL error, nil for in-memory servers.
-func (s *Server) DurabilityErr() error {
-	if s.durable == nil {
-		return nil
-	}
-	return s.durable.Err()
-}
+// DurabilityErr returns the latched WAL error, if any.
+func (s *Server) DurabilityErr() error { return s.store.err() }
 
 // InjectTornWrite arms the WAL torn-write fault hook: the next logged
 // mutation writes only keep bytes of its frame and fails. Chaos schedules
 // use it; reports whether a WAL was present to arm.
-func (s *Server) InjectTornWrite(keep int) bool {
-	if s.durable == nil {
-		return false
-	}
-	return s.durable.tearNext(keep)
-}
-
-// strictUnavailable reports whether strict durability has latched an error,
-// turning mutation rejections into 503s rather than semantic failures.
-func (s *Server) strictUnavailable() bool {
-	return s.durable != nil && s.durable.strictUnavailable()
-}
+func (s *Server) InjectTornWrite(keep int) bool { return s.store.tearNext(keep) }
 
 // fencedResponse is the StatusFenced rejection: no body the caller should
 // parse, just the term and the leader hint to chase. The hint state (what
 // the fencer told us) is preferred over the lineage — the whole point of a
 // fence is that the stream this node holds is no longer the one to follow.
 func (s *Server) fencedResponse() *httpx.Response {
-	s.terms.mu.Lock()
-	term, leader := s.terms.fenceTerm, s.terms.fenceLeader
-	s.terms.mu.Unlock()
+	s.fence.mu.Lock()
+	term, leader := s.fence.term, s.fence.leader
+	s.fence.mu.Unlock()
 	if leader == "" {
 		lt, ll, _ := s.TermState()
 		term, leader = lt, ll
@@ -225,9 +192,6 @@ func (s *Server) fencedResponse() *httpx.Response {
 func (s *Server) handleReplPush(req *httpx.Request) *httpx.Response {
 	if s.Fenced() {
 		return s.fencedResponse()
-	}
-	if s.durable == nil {
-		return httpx.NewResponse(404, []byte("push needs a durable store"))
 	}
 	n := 0
 	_, err := storage.Replay(bytes.NewReader(req.Body), func(rec *storage.Record) error {

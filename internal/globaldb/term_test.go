@@ -2,22 +2,23 @@ package globaldb
 
 import (
 	"bytes"
-	"csaw/internal/httpx"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"csaw/internal/globaldb/storage"
+	"csaw/internal/httpx"
 	"csaw/internal/netem"
 	"csaw/internal/vtime"
 )
 
 // promoOptions is the store shape every promotion world uses: full history
-// kept (no compaction), a replication feed, and strict durability.
+// kept (no compaction) and a replication feed.
 func promoOptions(dir string) StoreOptions {
-	return StoreOptions{Dir: dir, SnapshotEvery: -1, Replicated: true, Strict: true}
+	return StoreOptions{Dir: dir, SnapshotEvery: -1, Replicated: true}
 }
 
 // TestTermMarksAndRecovery pins the lineage machinery end to end: StartTerm
@@ -27,22 +28,22 @@ func promoOptions(dir string) StoreOptions {
 func TestTermMarksAndRecovery(t *testing.T) {
 	dir := t.TempDir()
 	clock := vtime.New(1000)
-	srv, err := NewDurableServer(clock, nil, promoOptions(dir))
+	srv, err := NewServer(clock, nil, promoOptions(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Stream: [0] addUser, [1] ingest under the founding lineage, [2] term 1
 	// record, [3] ingest under term 1, [4] term 2 record.
-	srv.store.addUser("u")
-	if _, ok := srv.store.ingest("u", clock.Now(), []Report{{URL: "a.example/", ASN: 7, Tm: clock.Now()}}); !ok {
-		t.Fatal("ingest rejected")
+	mustAddUser(t, srv.store, "u")
+	if _, err := srv.store.ingest("u", clock.Now(), []Report{{URL: "a.example/", ASN: 7, Tm: clock.Now()}}); err != nil {
+		t.Fatalf("ingest rejected: %v", err)
 	}
 	if err := srv.StartTerm(1, "30.0.0.1:80"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := srv.store.ingest("u", clock.Now(), []Report{{URL: "b.example/", ASN: 7, Tm: clock.Now()}}); !ok {
-		t.Fatal("ingest under term 1 rejected")
+	if _, err := srv.store.ingest("u", clock.Now(), []Report{{URL: "b.example/", ASN: 7, Tm: clock.Now()}}); err != nil {
+		t.Fatalf("ingest under term 1 rejected: %v", err)
 	}
 	if err := srv.StartTerm(2, "30.0.0.2:80"); err != nil {
 		t.Fatal(err)
@@ -72,7 +73,7 @@ func TestTermMarksAndRecovery(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	srv, err = NewDurableServer(clock, nil, promoOptions(dir))
+	srv, err = NewServer(clock, nil, promoOptions(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,10 @@ func TestTermMarksAndRecovery(t *testing.T) {
 // stream it never pulled.
 func TestFenceLeavesLineageAlone(t *testing.T) {
 	clock := vtime.New(1000)
-	srv := NewServer(clock, nil)
+	srv, err := NewServer(clock, nil, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv.Fence(7, "30.0.0.3:80")
 	if !srv.Fenced() {
 		t.Fatal("Fence did not fence")
@@ -136,7 +140,7 @@ func TestFenceLeavesLineageAlone(t *testing.T) {
 // error, and turns the client-facing rejection into a 503.
 func TestStrictTornWriteRejects(t *testing.T) {
 	clock := vtime.New(1000)
-	srv, err := NewDurableServer(clock, nil, promoOptions(t.TempDir()))
+	srv, err := NewServer(clock, nil, promoOptions(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,13 +149,13 @@ func TestStrictTornWriteRejects(t *testing.T) {
 			t.Errorf("close after torn write: %v, want the latched tear", err)
 		}
 	}()
-	srv.store.addUser("u")
+	mustAddUser(t, srv.store, "u")
 	headBefore := srv.ReplicationFeed().Head()
 
 	if !srv.InjectTornWrite(5) {
 		t.Fatal("InjectTornWrite found no WAL")
 	}
-	if _, ok := srv.store.ingest("u", clock.Now(), []Report{{URL: "t.example/", ASN: 2, Tm: clock.Now()}}); ok {
+	if _, err := srv.store.ingest("u", clock.Now(), []Report{{URL: "t.example/", ASN: 2, Tm: clock.Now()}}); err == nil {
 		t.Fatal("strict store acked a torn write")
 	}
 	if head := srv.ReplicationFeed().Head(); head != headBefore {
@@ -176,11 +180,11 @@ func TestStrictTornWriteRejects(t *testing.T) {
 func TestResetForResyncKeepsDurablePath(t *testing.T) {
 	dir := t.TempDir()
 	clock := vtime.New(1000)
-	srv, err := NewDurableServer(clock, nil, promoOptions(dir))
+	srv, err := NewServer(clock, nil, promoOptions(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.store.addUser("old")
+	mustAddUser(t, srv.store, "old")
 	if err := srv.StartTerm(3, "30.0.0.1:80"); err != nil {
 		t.Fatal(err)
 	}
@@ -195,9 +199,9 @@ func TestResetForResyncKeepsDurablePath(t *testing.T) {
 	}
 
 	// Post-reset writes must be durable and streamed.
-	srv.store.addUser("new")
-	if _, ok := srv.store.ingest("new", clock.Now(), []Report{{URL: "n.example/", ASN: 9, Tm: clock.Now()}}); !ok {
-		t.Fatal("post-reset ingest rejected")
+	mustAddUser(t, srv.store, "new")
+	if _, err := srv.store.ingest("new", clock.Now(), []Report{{URL: "n.example/", ASN: 9, Tm: clock.Now()}}); err != nil {
+		t.Fatalf("post-reset ingest rejected: %v", err)
 	}
 	if head := srv.ReplicationFeed().Head(); head != 2 {
 		t.Fatalf("post-reset feed head = %d, want 2 (writes bypassed the feed)", head)
@@ -210,7 +214,7 @@ func TestResetForResyncKeepsDurablePath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2, err := NewDurableServer(clock, nil, promoOptions(dir))
+	srv2, err := NewServer(clock, nil, promoOptions(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +232,59 @@ func TestResetForResyncKeepsDurablePath(t *testing.T) {
 
 	// Strict mode still bites after a reset.
 	srv2.InjectTornWrite(3)
-	if _, ok := srv2.store.ingest("new", clock.Now(), []Report{{URL: "z.example/", ASN: 9, Tm: clock.Now()}}); ok {
+	if _, err := srv2.store.ingest("new", clock.Now(), []Report{{URL: "z.example/", ASN: 9, Tm: clock.Now()}}); err == nil {
 		t.Fatal("strict mode lost across reset: torn write acked")
+	}
+}
+
+// TestResetForResyncConcurrentReads is the regression pin for the
+// reset/read race: ResetForResync swaps the whole sharded state while
+// BlockedForAS and StatsSnapshot read it without the store lock. Readers
+// must see the old state or the new one; run under -race -count=10
+// (`make race-resync`).
+func TestResetForResyncConcurrentReads(t *testing.T) {
+	clock := vtime.New(1000)
+	srv, err := NewServer(clock, nil, promoOptions(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := srv.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, e := range srv.BlockedForAS(7) {
+				if e.ASN != 7 {
+					t.Errorf("read a foreign entry %+v", e)
+				}
+			}
+			srv.StatsSnapshot()
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		mustAddUser(t, srv.store, "u")
+		if _, err := srv.store.ingest("u", clock.Now(), []Report{{URL: "r.example/", ASN: 7, Tm: clock.Now()}}); err != nil {
+			t.Fatalf("ingest: %v", err)
+		}
+		if err := srv.ResetForResync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if got := srv.BlockedForAS(7); len(got) != 0 {
+		t.Fatalf("state survived the last reset: %+v", got)
 	}
 }
 
@@ -238,7 +293,7 @@ func TestResetForResyncKeepsDurablePath(t *testing.T) {
 // ErrHistoryLoss instead of silently truncating the valid suffix away.
 func TestDurableRecoveryHistoryLoss(t *testing.T) {
 	dir := t.TempDir()
-	d, err := newDurableStore(StoreOptions{Dir: dir, SnapshotEvery: -1})
+	d, err := newStore(StoreOptions{Dir: dir, SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +311,7 @@ func TestDurableRecoveryHistoryLoss(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newDurableStore(StoreOptions{Dir: dir, SnapshotEvery: -1}); !errors.Is(err, storage.ErrHistoryLoss) {
+	if _, err := newStore(StoreOptions{Dir: dir, SnapshotEvery: -1}); !errors.Is(err, storage.ErrHistoryLoss) {
 		t.Fatalf("mid-history corruption: err = %v, want ErrHistoryLoss", err)
 	}
 }

@@ -5,35 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
-	"time"
 
 	"csaw/internal/globaldb/storage"
 )
-
-// StoreOptions selects the server's storage backend.
-type StoreOptions struct {
-	// Dir is the durability directory holding the write-ahead log and
-	// snapshots. Empty disables the on-disk log: mutations are applied (and,
-	// when Replicated, streamed) but nothing survives a restart.
-	Dir string
-	// SnapshotEvery compacts after this many logged records: the store state
-	// is written as a snapshot and the log truncated, bounding both recovery
-	// time and log size. 0 selects the default (4096); negative disables
-	// compaction.
-	SnapshotEvery int
-	// Replicated attaches an in-memory replication feed mirroring every
-	// logged record, served on PathRepl for followers to pull.
-	Replicated bool
-	// Strict makes durability a precondition of acknowledgement: a mutation
-	// whose log append fails is rejected (neither applied nor streamed) and
-	// the server answers 503 until restart. Without Strict the store keeps
-	// the original fail-stop behavior — latch the error, keep applying — which
-	// favors availability but can ack a write that will not survive a crash.
-	// Promotion and chaos worlds run Strict, because "no acked report lost"
-	// is exactly the invariant they assert.
-	Strict bool
-}
 
 const (
 	defaultSnapshotEvery = 4096
@@ -41,157 +15,99 @@ const (
 	snapshotFileName     = "snapshot"
 )
 
-// durableStore wraps the sharded store with write-ahead logging: every
-// mutation request is logged (and streamed to the replication feed) before
-// it is applied, so replaying snapshot + log tail reproduces the exact
-// store state — including the dedup-aware updates counter and the version
-// counters behind validator tags. The log records requests, not effects: a
-// no-op request (duplicate report, ingest for an unknown uuid) replays to
-// the same no-op because replay preserves order.
-//
-// Durability is fail-stop: if an append or compaction fails, the error is
-// latched, logging stops, and the in-memory store keeps serving. Err
-// surfaces the latched error so operators (and tests) can tell a durable
-// run from a degraded one.
-type durableStore struct {
-	mu    sync.Mutex // serializes mutations with their log appends
-	inner *shardedStore
-	log   *storage.Log
-	feed  *storage.Feed
-	dir   string
-	opts  StoreOptions // retained for reset()
-
-	snapshotEvery int
-	strict        bool
-	sinceSnap     int
-	recovered     int64 // log records replayed at open, observable in tests
-	lastErr       error
-
-	// Term state recovered from (or written to) the record stream: the
-	// highest term seen, the leader address it named, and the stream
-	// position it began at. Zero means the stream predates promotion — the
-	// founding primary's implicit term. recMarks keeps every leadership
-	// change in stream order so termAt can name the lineage in effect at any
-	// position (valid while the WAL holds the full history, i.e. compaction
-	// disabled — which promotion worlds require anyway).
-	recTerm   int64
-	recLeader string
-	recBase   uint64
-	recMarks  []TermMark
-}
-
-// errNotDurable is returned by strict-mode mutations once durability is
-// lost; the server maps it to 503.
-var errNotDurable = errors.New("globaldb: write-ahead log unavailable")
-
-// newDurableStore opens (or creates) the store at o.Dir, recovering state
-// from the newest snapshot plus the log tail. A corrupt log tail (torn
-// write from a crash) is truncated at the last valid record; any other
-// error aborts the open.
-func newDurableStore(o StoreOptions) (*durableStore, error) {
-	d := &durableStore{dir: o.Dir, opts: o, snapshotEvery: o.SnapshotEvery, strict: o.Strict}
-	if d.snapshotEvery == 0 {
-		d.snapshotEvery = defaultSnapshotEvery
+// recover opens (or creates) the store at s.dir, rebuilding state from the
+// newest snapshot plus the log tail. A corrupt log tail (torn write from a
+// crash) is truncated at the last valid record; any other error aborts the
+// open. Runs before the store is shared.
+func (s *store) recover() error {
+	if err := os.MkdirAll(s.dir, 0o755); err != nil {
+		return err
 	}
-	if o.Replicated {
-		d.feed = storage.NewFeed()
-	}
-	if o.Dir == "" {
-		d.inner = newShardedStore()
-		return d, nil
-	}
-	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
-		return nil, err
-	}
-	st, err := storage.ReadSnapshot(d.snapPath())
+	snap, err := storage.ReadSnapshot(s.snapPath())
 	if err != nil {
-		return nil, fmt.Errorf("globaldb: recover snapshot: %w", err)
+		return fmt.Errorf("globaldb: recover snapshot: %w", err)
 	}
-	if st != nil {
-		d.inner = newShardedFromState(st)
-	} else {
-		d.inner = newShardedStore()
+	st := newShardedState()
+	if snap != nil {
+		st = newShardedFromState(snap)
 	}
+	s.cur.Store(st)
 	// With no snapshot the log is the complete history, so the replication
 	// feed can be rebuilt record for record and followers' pull offsets stay
 	// valid across a restart. Once a snapshot exists the prefix is gone and a
 	// restarted primary's feed restarts at zero (promotion worlds disable
 	// compaction for exactly this reason).
-	rebuildFeed := d.feed != nil && st == nil
-	good, err := storage.ReplayFile(d.walPath(), func(rec *storage.Record) error {
+	rebuildFeed := s.feed != nil && snap == nil
+	good, err := storage.ReplayFile(s.walPath(), func(rec *storage.Record) error {
 		if rec.Kind == storage.KindTerm {
-			if rec.Now > d.recTerm {
-				d.recTerm, d.recLeader = rec.Now, rec.UUID
-				d.recBase = uint64(d.recovered)
-				d.recMarks = append(d.recMarks, TermMark{Term: rec.Now, Leader: rec.UUID, Base: d.recBase})
-			}
+			s.markTermLocked(rec.Now, rec.UUID, uint64(s.recovered))
 		}
-		applyRecord(d.inner, rec)
+		applyRecord(st, rec)
 		if rebuildFeed {
-			d.feed.Append(rec)
+			s.feed.Append(rec)
 		}
-		d.recovered++
+		s.recovered++
 		return nil
 	})
 	if err != nil && !errors.Is(err, storage.ErrCorrupt) {
-		return nil, fmt.Errorf("globaldb: replay wal: %w", err)
+		return fmt.Errorf("globaldb: replay wal: %w", err)
 	}
 	torn := err != nil
-	d.log, err = storage.OpenLog(d.walPath())
+	s.log, err = storage.OpenLog(s.walPath())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if torn {
-		if err := d.log.Truncate(good); err != nil {
-			closeErr := d.log.Close()
-			return nil, fmt.Errorf("globaldb: truncate torn wal: %v (close: %v)", err, closeErr)
+		if err := s.log.Truncate(good); err != nil {
+			closeErr := s.log.Close()
+			return fmt.Errorf("globaldb: truncate torn wal: %v (close: %v)", err, closeErr)
 		}
 	}
-	d.sinceSnap = int(d.recovered)
-	return d, nil
+	s.sinceSnap = int(s.recovered)
+	return nil
 }
 
-func (d *durableStore) walPath() string  { return filepath.Join(d.dir, walFileName) }
-func (d *durableStore) snapPath() string { return filepath.Join(d.dir, snapshotFileName) }
+func (s *store) walPath() string  { return filepath.Join(s.dir, walFileName) }
+func (s *store) snapPath() string { return filepath.Join(s.dir, snapshotFileName) }
 
-// applyRecord replays one logged mutation through the normal store paths.
+// applyRecord replays one logged mutation through the normal state paths.
 // Shared by WAL recovery and follower replication, so a replica converges
 // to the primary's exact state (ingest return values are meaningless during
 // replay — the original caller is long gone).
-func applyRecord(s store, rec *storage.Record) {
+func applyRecord(st *shardedState, rec *storage.Record) {
 	switch rec.Kind {
 	case storage.KindAddUser:
-		s.addUser(rec.UUID)
+		st.addUser(rec.UUID)
 	case storage.KindIngest:
-		s.ingest(rec.UUID, timeOf(rec.Now), reportsFromStorage(rec.Reports))
+		st.ingest(rec.UUID, timeOf(rec.Now), reportsFromStorage(rec.Reports))
 	case storage.KindRevoke:
-		s.revoke(rec.UUID)
+		st.revoke(rec.UUID)
 	case storage.KindTerm:
-		// Leadership marker: no store mutation. Term state is tracked by the
-		// durable layer, which sees the record before it gets here.
+		// Leadership marker: no state mutation. The store tracks lineage
+		// itself before the record gets here.
 	}
 }
 
-// record logs one mutation before the caller applies it, then mirrors it to
-// the feed. The log write comes first: a record must never enter the
+// recordLocked logs one mutation before the caller applies it, then mirrors
+// it to the feed. The log write comes first: a record must never enter the
 // replication stream unless it is durable locally, or a crashed primary
-// could restart without records its followers hold. In strict mode a failed
-// append rejects the mutation (the caller must not apply or acknowledge
-// it); otherwise the error is latched and the mutation proceeds unlogged.
-// Caller holds d.mu.
-func (d *durableStore) record(rec *storage.Record) error {
-	if d.log != nil && d.lastErr == nil {
-		if err := d.log.Append(rec); err != nil {
-			d.lastErr = err
-		} else {
-			d.sinceSnap++
-		}
-	}
-	if d.strict && d.lastErr != nil {
+// could restart without records its followers hold. A failed append
+// latches the error and rejects this and every later mutation with
+// errNotDurable; the caller must not apply or acknowledge it. Caller holds
+// s.mu.
+func (s *store) recordLocked(rec *storage.Record) error {
+	if s.lastErr != nil {
 		return errNotDurable
 	}
-	if d.feed != nil {
-		d.feed.Append(rec)
+	if s.log != nil {
+		if err := s.log.Append(rec); err != nil {
+			s.lastErr = err
+			return errNotDurable
+		}
+		s.sinceSnap++
+	}
+	if s.feed != nil {
+		s.feed.Append(rec)
 	}
 	return nil
 }
@@ -200,215 +116,115 @@ func (d *durableStore) record(rec *storage.Record) error {
 // the follower-side counterpart of the mutation methods: replication and
 // push reconciliation hand records here so a follower's WAL and feed mirror
 // the leader's stream frame for frame (EncodeRecord is a pure function, so
-// re-encoding reproduces identical bytes). Term records update the tracked
-// term instead of the store.
-func (d *durableStore) absorb(rec *storage.Record) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// re-encoding reproduces identical bytes). Term records update the lineage
+// instead of the state.
+func (s *store) absorb(rec *storage.Record) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var base uint64
-	if d.feed != nil {
-		base = d.feed.Head() // position the record lands at, if it does
+	if s.feed != nil {
+		base = s.feed.Head() // position the record lands at, if it does
 	}
-	if err := d.record(rec); err != nil {
+	if err := s.recordLocked(rec); err != nil {
 		return err
 	}
-	if rec.Kind == storage.KindTerm && rec.Now > d.recTerm {
-		d.recTerm, d.recLeader, d.recBase = rec.Now, rec.UUID, base
-		d.recMarks = append(d.recMarks, TermMark{Term: rec.Now, Leader: rec.UUID, Base: base})
+	if rec.Kind == storage.KindTerm {
+		s.markTermLocked(rec.Now, rec.UUID, base)
 	}
-	applyRecord(d.inner, rec)
-	d.maybeCompactLocked()
+	applyRecord(s.state(), rec)
+	s.maybeCompactLocked()
 	return nil
 }
 
-// startTerm appends a term record announcing leader as the writer for term,
-// through the same durable path as any mutation. Returns the feed position
-// the term begins at (the record's own sequence number).
-func (d *durableStore) startTerm(term int64, leader string) (base uint64, err error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.feed != nil {
-		base = d.feed.Head()
-	}
-	rec := &storage.Record{Kind: storage.KindTerm, UUID: leader, Now: term}
-	if err := d.record(rec); err != nil {
-		return 0, err
-	}
-	if term > d.recTerm {
-		d.recTerm, d.recLeader, d.recBase = term, leader, base
-		d.recMarks = append(d.recMarks, TermMark{Term: term, Leader: leader, Base: base})
-	}
-	d.maybeCompactLocked()
-	return base, nil
-}
-
-// termState returns the highest term in the stream, its leader address, and
-// the stream position it began at.
-func (d *durableStore) termState() (int64, string, uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.recTerm, d.recLeader, d.recBase
-}
-
-// termAt returns the lineage in effect for the stream prefix [0, pos): the
-// last term record strictly below pos. (0, "") is the founding lineage.
-func (d *durableStore) termAt(pos uint64) (term int64, leader string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, m := range d.recMarks {
-		if m.Base >= pos {
-			break
-		}
-		term, leader = m.Term, m.Leader
-	}
-	return term, leader
-}
-
-// reset wipes the store to empty — log truncated, snapshot removed, feed
-// and in-memory state fresh, latched errors cleared — so the node can
-// resync a new leader's stream from sequence zero. Replaying that stream
-// rebuilds not just the aggregate state but the exact version counters
-// behind validator tags, which is what makes replicas byte-identical after
-// a heal.
-func (d *durableStore) reset() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.log != nil {
-		if err := d.log.Truncate(0); err != nil {
+// reset wipes the store to empty — log truncated, snapshot removed, feed,
+// state and lineage fresh, latched errors cleared — so the node can resync
+// a new leader's stream from sequence zero. Replaying that stream rebuilds
+// not just the aggregate state but the exact version counters behind
+// validator tags, which is what makes replicas byte-identical after a heal.
+func (s *store) reset() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.log != nil {
+		if err := s.log.Truncate(0); err != nil {
 			return err
 		}
 	}
-	if d.dir != "" {
-		if err := os.Remove(d.snapPath()); err != nil && !os.IsNotExist(err) {
+	if s.dir != "" {
+		if err := os.Remove(s.snapPath()); err != nil && !os.IsNotExist(err) {
 			return err
 		}
 	}
-	hist := d.inner.histMax.Load()
-	d.inner = newShardedStore()
-	d.inner.histMax.Store(hist)
-	if d.feed != nil {
-		d.feed.Reset()
+	fresh := newShardedState()
+	fresh.histMax.Store(s.state().histMax.Load())
+	s.cur.Store(fresh)
+	if s.feed != nil {
+		s.feed.Reset()
 	}
-	d.sinceSnap = 0
-	d.recovered = 0
-	d.lastErr = nil
-	d.recTerm, d.recLeader, d.recBase = 0, "", 0
-	d.recMarks = nil
+	s.sinceSnap = 0
+	s.recovered = 0
+	s.lastErr = nil
+	s.term, s.leader, s.base = 0, "", 0
+	s.marks = nil
 	return nil
 }
 
 // maybeCompactLocked compacts when the log grew past the snapshot cadence.
 // Called after the triggering mutation has been applied — compacting from
-// record() would snapshot state that misses the mutation whose record the
-// truncation is about to drop. Caller holds d.mu.
-func (d *durableStore) maybeCompactLocked() {
-	if d.log == nil || d.lastErr != nil || d.snapshotEvery <= 0 || d.sinceSnap < d.snapshotEvery {
+// recordLocked would snapshot state that misses the mutation whose record
+// the truncation is about to drop. Caller holds s.mu.
+func (s *store) maybeCompactLocked() {
+	if s.log == nil || s.lastErr != nil || s.snapshotEvery <= 0 || s.sinceSnap < s.snapshotEvery {
 		return
 	}
-	d.compactLocked()
+	s.compactLocked()
 }
 
 // compactLocked writes the current state as a snapshot and truncates the
 // log. The snapshot rename is atomic and the log is only truncated after
 // the snapshot landed, so a crash between the two replays the (now
 // redundant) log tail onto the snapshot — reapplying an ingest is
-// idempotent thanks to the dedup key. Caller holds d.mu.
-func (d *durableStore) compactLocked() {
-	if err := storage.WriteSnapshot(d.snapPath(), d.inner.exportState()); err != nil {
-		d.lastErr = err
+// idempotent thanks to the dedup key. Caller holds s.mu.
+func (s *store) compactLocked() {
+	if err := storage.WriteSnapshot(s.snapPath(), s.state().exportState()); err != nil {
+		s.lastErr = err
 		return
 	}
-	if err := d.log.Truncate(0); err != nil {
-		d.lastErr = err
+	if err := s.log.Truncate(0); err != nil {
+		s.lastErr = err
 		return
 	}
-	d.sinceSnap = 0
+	s.sinceSnap = 0
 }
 
-// Err returns the latched durability error, if any.
-func (d *durableStore) Err() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.lastErr
-}
-
-// strictUnavailable reports whether strict mode has latched a durability
-// error, i.e. every further mutation will be rejected until restart.
-func (d *durableStore) strictUnavailable() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.strict && d.lastErr != nil
+// err returns the latched durability error, if any.
+func (s *store) err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.lastErr
 }
 
 // tearNext arms the WAL torn-write fault hook for the next append. Reports
 // whether a log was present to arm.
-func (d *durableStore) tearNext(keep int) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.log == nil {
+func (s *store) tearNext(keep int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.log == nil {
 		return false
 	}
-	d.log.TearNext(keep)
+	s.log.TearNext(keep)
 	return true
 }
 
-func (d *durableStore) close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.log == nil {
-		return d.lastErr
+// close flushes and closes the log, returning any latched durability error.
+func (s *store) close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.log == nil {
+		return s.lastErr
 	}
-	if err := d.log.Close(); err != nil {
+	if err := s.log.Close(); err != nil {
 		return err
 	}
-	d.log = nil
-	return d.lastErr
+	s.log = nil
+	return s.lastErr
 }
-
-func (d *durableStore) addUser(uuid string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.record(&storage.Record{Kind: storage.KindAddUser, UUID: uuid}) != nil {
-		return // strict: not durable, not applied; the server answers 503
-	}
-	d.inner.addUser(uuid)
-	d.maybeCompactLocked()
-}
-
-func (d *durableStore) ingest(uuid string, now time.Time, reports []Report) (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	err := d.record(&storage.Record{
-		Kind: storage.KindIngest, UUID: uuid, Now: nanoOf(now),
-		Reports: reportsToStorage(reports),
-	})
-	if err != nil {
-		return 0, false // strict: rejected before apply; the server answers 503
-	}
-	n, ok := d.inner.ingest(uuid, now, reports)
-	d.maybeCompactLocked()
-	return n, ok
-}
-
-func (d *durableStore) revoke(uuid string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.record(&storage.Record{Kind: storage.KindRevoke, UUID: uuid}) != nil {
-		return
-	}
-	d.inner.revoke(uuid)
-	d.maybeCompactLocked()
-}
-
-// Reads delegate to the sharded store without d.mu: its own sharded locks
-// already make reads safe against concurrent (logged) writes.
-
-func (d *durableStore) blockedForAS(asn int) []Entry { return d.inner.blockedForAS(asn) }
-
-func (d *durableStore) fetchResponse(asn int, inm string) fetchResult {
-	return d.inner.fetchResponse(asn, inm)
-}
-
-func (d *durableStore) stats() Stats { return d.inner.stats() }
-
-func (d *durableStore) setDeltaHistory(n int) { d.inner.setDeltaHistory(n) }

@@ -14,10 +14,10 @@ import (
 // walWorkload feeds a deterministic report history into a store: users
 // registering, reporting over several virtual minutes, one lost-ack
 // re-post, one revocation.
-func walWorkload(t *testing.T, s store, users, rounds int) {
+func walWorkload(t *testing.T, s *store, users, rounds int) {
 	t.Helper()
 	for u := 0; u < users; u++ {
-		s.addUser(fmt.Sprintf("user-%03d", u))
+		mustAddUser(t, s, fmt.Sprintf("user-%03d", u))
 	}
 	for r := 0; r < rounds; r++ {
 		now := utc.Add(time.Duration(r) * time.Minute)
@@ -28,21 +28,23 @@ func walWorkload(t *testing.T, s store, users, rounds int) {
 				{URL: fmt.Sprintf("deep%d.example/x", r%5), ASN: 100 + r%3,
 					Stages: []WireStage{{Type: 2, Detail: "rst"}}, Tm: now},
 			}
-			if _, ok := s.ingest(fmt.Sprintf("user-%03d", u), now, batch); !ok {
-				t.Fatalf("ingest rejected for user %d round %d", u, r)
+			if _, err := s.ingest(fmt.Sprintf("user-%03d", u), now, batch); err != nil {
+				t.Fatalf("ingest rejected for user %d round %d: %v", u, r, err)
 			}
 			if r == rounds/2 {
 				// Lost ack: the client retries the identical batch.
-				s.ingest(fmt.Sprintf("user-%03d", u), now.Add(time.Second), batch)
+				if _, err := s.ingest(fmt.Sprintf("user-%03d", u), now.Add(time.Second), batch); err != nil {
+					t.Fatalf("retry rejected for user %d: %v", u, err)
+				}
 			}
 		}
 	}
-	s.revoke("user-001")
+	mustRevoke(t, s, "user-001")
 }
 
 // observeStore captures everything a client can see: per-AS bodies, tags,
 // and stats.
-func observeStore(t *testing.T, s store) string {
+func observeStore(t *testing.T, s *store) string {
 	t.Helper()
 	var out bytes.Buffer
 	for asn := 100; asn <= 103; asn++ {
@@ -59,7 +61,7 @@ func observeStore(t *testing.T, s store) string {
 // the serialized virtual-time instants inside the entries.
 func TestWALKillAndRestart(t *testing.T) {
 	dir := t.TempDir()
-	d, err := newDurableStore(StoreOptions{Dir: dir, SnapshotEvery: -1})
+	d, err := newStore(StoreOptions{Dir: dir, SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +71,7 @@ func TestWALKillAndRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := newDurableStore(StoreOptions{Dir: dir, SnapshotEvery: -1})
+	d2, err := newStore(StoreOptions{Dir: dir, SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,9 +89,9 @@ func TestWALKillAndRestart(t *testing.T) {
 	}
 
 	// The restarted store keeps working: new reports land and bump tags.
-	d2.addUser("late")
-	if _, ok := d2.ingest("late", utc.Add(time.Hour), []Report{{URL: "late.example/", ASN: 100, Tm: utc}}); !ok {
-		t.Fatal("post-restart ingest rejected")
+	mustAddUser(t, d2, "late")
+	if _, err := d2.ingest("late", utc.Add(time.Hour), []Report{{URL: "late.example/", ASN: 100, Tm: utc}}); err != nil {
+		t.Fatalf("post-restart ingest rejected: %v", err)
 	}
 	fr := d2.fetchResponse(100, "")
 	if !bytes.Contains(fr.body, []byte("late.example/")) {
@@ -105,7 +107,7 @@ func TestWALRestartMatchesUninterrupted(t *testing.T) {
 	for _, snapshotEvery := range []int{-1, 7} {
 		t.Run(fmt.Sprintf("snapshotEvery=%d", snapshotEvery), func(t *testing.T) {
 			dir := t.TempDir()
-			d, err := newDurableStore(StoreOptions{Dir: dir, SnapshotEvery: snapshotEvery})
+			d, err := newStore(StoreOptions{Dir: dir, SnapshotEvery: snapshotEvery})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +115,7 @@ func TestWALRestartMatchesUninterrupted(t *testing.T) {
 			if err := d.close(); err != nil {
 				t.Fatal(err)
 			}
-			d2, err := newDurableStore(StoreOptions{Dir: dir, SnapshotEvery: snapshotEvery})
+			d2, err := newStore(StoreOptions{Dir: dir, SnapshotEvery: snapshotEvery})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,10 +126,7 @@ func TestWALRestartMatchesUninterrupted(t *testing.T) {
 			}()
 			secondHalf(t, d2)
 
-			ref, err := newDurableStore(StoreOptions{}) // in-memory reference
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref := openStore(t, StoreOptions{}) // in-memory reference
 			walWorkload(t, ref, 4, 3)
 			secondHalf(t, ref)
 
@@ -144,21 +143,21 @@ func TestWALRestartMatchesUninterrupted(t *testing.T) {
 	}
 }
 
-func secondHalf(t *testing.T, s store) {
+func secondHalf(t *testing.T, s *store) {
 	t.Helper()
 	now := utc.Add(time.Hour)
-	s.addUser("resumed")
-	if _, ok := s.ingest("resumed", now, []Report{
+	mustAddUser(t, s, "resumed")
+	if _, err := s.ingest("resumed", now, []Report{
 		{URL: "fresh.example/", ASN: 101, Stages: []WireStage{{Type: 3, Detail: "blockpage"}}, Tm: now},
-	}); !ok {
-		t.Fatal("second-half ingest rejected")
+	}); err != nil {
+		t.Fatalf("second-half ingest rejected: %v", err)
 	}
-	if _, ok := s.ingest("user-000", now.Add(time.Minute), []Report{
+	if _, err := s.ingest("user-000", now.Add(time.Minute), []Report{
 		{URL: "site0.example/", ASN: 100, Stages: []WireStage{{Type: 1, Detail: "nxdomain"}}, Tm: now},
-	}); !ok {
-		t.Fatal("second-half re-report rejected")
+	}); err != nil {
+		t.Fatalf("second-half re-report rejected: %v", err)
 	}
-	s.revoke("user-002")
+	mustRevoke(t, s, "user-002")
 }
 
 // TestWALCompactionBoundsRecovery pins that compaction truncates the log:
@@ -166,7 +165,7 @@ func secondHalf(t *testing.T, s store) {
 // snapshot, not the whole history.
 func TestWALCompactionBoundsRecovery(t *testing.T) {
 	dir := t.TempDir()
-	d, err := newDurableStore(StoreOptions{Dir: dir, SnapshotEvery: 10})
+	d, err := newStore(StoreOptions{Dir: dir, SnapshotEvery: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +174,7 @@ func TestWALCompactionBoundsRecovery(t *testing.T) {
 	if err := d.close(); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := newDurableStore(StoreOptions{Dir: dir, SnapshotEvery: 10})
+	d2, err := newStore(StoreOptions{Dir: dir, SnapshotEvery: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +196,7 @@ func TestWALCompactionBoundsRecovery(t *testing.T) {
 // torn one, and accept new writes.
 func TestWALTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
-	d, err := newDurableStore(StoreOptions{Dir: dir, SnapshotEvery: -1})
+	d, err := newStore(StoreOptions{Dir: dir, SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +217,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := newDurableStore(StoreOptions{Dir: dir, SnapshotEvery: -1})
+	d2, err := newStore(StoreOptions{Dir: dir, SnapshotEvery: -1})
 	if err != nil {
 		t.Fatalf("torn tail must not abort recovery: %v", err)
 	}
@@ -233,36 +232,36 @@ func TestWALTornTailRecovery(t *testing.T) {
 	if recovered == intact {
 		t.Fatal("observations identical despite a dropped tail record")
 	}
-	d2.revoke("user-001")
+	mustRevoke(t, d2, "user-001")
 	if got := observeStore(t, d2); got != intact {
 		t.Fatalf("re-applying the lost mutation did not converge:\n--- got ---\n%s--- want ---\n%s", got, intact)
 	}
-	if err := d2.Err(); err != nil {
+	if err := d2.err(); err != nil {
 		t.Fatalf("durability degraded after torn-tail recovery: %v", err)
 	}
 }
 
 // TestDurableServerRestart exercises the same guarantee at the Server
-// level, via NewDurableServer.
+// level, via NewServer.
 func TestDurableServerRestart(t *testing.T) {
 	dir := t.TempDir()
 	clock := vtime.New(1000)
-	srv, err := NewDurableServer(clock, nil, StoreOptions{Dir: dir})
+	srv, err := NewServer(clock, nil, StoreOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.store.addUser("u")
-	if _, ok := srv.store.ingest("u", clock.Now(), []Report{
+	mustAddUser(t, srv.store, "u")
+	if _, err := srv.store.ingest("u", clock.Now(), []Report{
 		{URL: "a.example/", ASN: 55, Stages: []WireStage{{Type: 1, Detail: "nx"}}, Tm: clock.Now()},
-	}); !ok {
-		t.Fatal("ingest rejected")
+	}); err != nil {
+		t.Fatalf("ingest rejected: %v", err)
 	}
 	before := srv.store.fetchResponse(55, "")
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	srv2, err := NewDurableServer(clock, nil, StoreOptions{Dir: dir})
+	srv2, err := NewServer(clock, nil, StoreOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

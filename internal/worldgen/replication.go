@@ -96,7 +96,7 @@ func ReplicaLossPolicies(base *censor.Policy) (clean, loss *censor.Policy) {
 }
 
 // buildPromotionSet wires the self-healing replica set: every node — the
-// founding primary included — runs a strict, feed-enabled durable store
+// founding primary included — runs a logged, feed-enabled store
 // wrapped in a promotion-capable replica.Follower, with the full peer list
 // for election probes. Listeners are retained so experiments can kill and
 // restart a node's serving process by index. Compaction is disabled on
@@ -120,11 +120,10 @@ func (w *World) buildPromotionSet(o Options, gh *netem.Host, cloud *netem.AS) er
 		if o.GlobalDBWALDir != "" {
 			dir = filepath.Join(o.GlobalDBWALDir, fmt.Sprintf("node-%d", i))
 		}
-		srv, err := globaldb.NewDurableServer(w.Clock, nil, globaldb.StoreOptions{
+		srv, err := globaldb.NewServer(w.Clock, nil, globaldb.StoreOptions{
 			Dir:           dir,
 			SnapshotEvery: -1,
 			Replicated:    true,
-			Strict:        true,
 		})
 		if err != nil {
 			return err

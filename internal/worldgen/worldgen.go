@@ -103,7 +103,7 @@ type Options struct {
 	// virtual).
 	GlobalDBReplInterval time.Duration
 	// GlobalDBPromotion enables the self-healing replica set: every node
-	// (the founding primary included) runs a strict, feed-enabled store and
+	// (the founding primary included) runs a logged, feed-enabled store and
 	// a promotion controller, so a dead primary is detected by missed
 	// pulls, the most-caught-up follower promotes itself, stale writers are
 	// fenced, and the old primary demotes and resyncs on rejoin. Requires
@@ -238,8 +238,8 @@ func New(o Options) (*World, error) {
 	w.PublicDNSAddr = PublicDNSIP + ":53"
 
 	// Global DB (MongoLab/Heroku stand-in) on the cloud. With a WAL dir or
-	// replicas it runs on the durable store; plain worlds keep the
-	// in-memory sharded store.
+	// replicas its store logs and streams every mutation; plain worlds keep
+	// it in memory only.
 	gh := n.MustAddHost("globaldb", GlobalDBIP, "cloud", cloud)
 	w.GlobalDBAddr = GlobalDBIP + ":80"
 	w.GlobalDBEndpoints = []string{w.GlobalDBAddr}
@@ -252,19 +252,15 @@ func New(o Options) (*World, error) {
 			return nil, err
 		}
 	} else {
-		if o.GlobalDBWALDir != "" || o.GlobalDBReplicas > 0 {
-			srv, err := globaldb.NewDurableServer(clock, nil, globaldb.StoreOptions{
-				Dir:           o.GlobalDBWALDir,
-				SnapshotEvery: o.GlobalDBSnapshotEvery,
-				Replicated:    o.GlobalDBReplicas > 0,
-			})
-			if err != nil {
-				return nil, err
-			}
-			w.GlobalDB = srv
-		} else {
-			w.GlobalDB = globaldb.NewServer(clock, nil)
+		srv, err := globaldb.NewServer(clock, nil, globaldb.StoreOptions{
+			Dir:           o.GlobalDBWALDir,
+			SnapshotEvery: o.GlobalDBSnapshotEvery,
+			Replicated:    o.GlobalDBReplicas > 0,
+		})
+		if err != nil {
+			return nil, err
 		}
+		w.GlobalDB = srv
 		if err := w.GlobalDB.Attach(gh, 80); err != nil {
 			return nil, err
 		}
@@ -279,9 +275,13 @@ func New(o Options) (*World, error) {
 			for i := range followers {
 				host := n.MustAddHost(fmt.Sprintf("globaldb-replica-%d", i),
 					fmt.Sprintf("40.0.1.%d", i+1), regions[i%len(regions)], cloud)
+				fsrv, err := globaldb.NewServer(clock, nil, globaldb.StoreOptions{})
+				if err != nil {
+					return nil, err
+				}
 				f := &replica.Follower{
 					Name:        fmt.Sprintf("replica-%d", i),
-					Server:      globaldb.NewServer(clock, nil),
+					Server:      fsrv,
 					PrimaryAddr: w.GlobalDBAddr,
 					PrimaryHost: GlobalDBHost,
 					Dial:        host.Dial,
